@@ -38,7 +38,6 @@ from .oracle import (
     count_dp,
     count_dp_first_step,
     count_dp_multi,
-    count_naive,
     enumerate_words,
     naive_census,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "count_dp",
     "count_dp_first_step",
     "count_dp_multi",
-    "count_naive",
     "cross_ratio_check",
     "enumerate_words",
     "flip_coordinate",

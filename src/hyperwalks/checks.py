@@ -9,29 +9,88 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Optional, Sequence
 
-from .core import BudgetExceeded, LanguageSpec, StepVector, step_alphabet
-from . import formulas
-from .formulas import closed_form, cross_ratio_check, hyper_form
-from .oracle import (
-    DEFAULT_BUDGET,
-    count_dp,
-    count_dp_first_step,
-    naive_census,
-)
-from .series import asymptotic_ratio, gf_series
+from .core import ConsistencyError, LanguageSpec, StepVector, step_alphabet
+from . import formulas, oracle, series
+from .formulas import cross_ratio_check
+from .oracle import DEFAULT_BUDGET, count_dp, count_dp_first_step
+from .series import asymptotic_ratio
 from .bijection import count_E_double_prime, verify_bijection
 
 SUITE_NAMES = ("methods", "ratios", "symmetry", "bijection", "asymptotics")
 
-# Per-method ceilings for the methods suite; the cheap methods run to n_max.
-DP_CAP = 16
-HYPER_CAP = 50
-SERIES_CAP = 100
-
 ASYMPTOTIC_SCHEDULE = (500, 1000, 2000, 4000)
 ASYMPTOTIC_TOLERANCE = 0.01
+
+
+@dataclass(frozen=True)
+class Route:
+    """One counting route.
+
+    `values(spec, ns, budget)` gives the counts at the nonempty ascending n
+    list `ns`; `checked(spec, n, budget)` says whether the methods suite
+    compares the route with the closed form at n.  Routes look their functions
+    up through the module at call time, so a replaced module attribute sees
+    every call.
+    """
+
+    values: Callable[[LanguageSpec, Sequence[int], int], list[int]]
+    checked: Callable[[LanguageSpec, int, int], bool] = lambda spec, n, budget: True
+
+
+def _closed(spec, ns, budget):
+    return [formulas.closed_form(spec, n) for n in ns]
+
+
+def _hyper(spec, ns, budget):
+    return [formulas.hyper_form(spec, n) for n in ns]
+
+
+def _recurrence(spec, ns, budget):
+    table = formulas.recurrence_seq(spec, ns[-1]).values
+    return [table[n] for n in ns]
+
+
+def _dp(spec, ns, budget):
+    return [oracle.count_dp(spec, n) for n in ns]
+
+
+def _series(spec, ns, budget):
+    coefficients = series.gf_series(spec, ns[-1]).coefficients
+    for n in ns:
+        if coefficients[n].denominator != 1:
+            raise ConsistencyError(f"series coefficient {n} of {spec} is {coefficients[n]}")
+    return [coefficients[n].numerator for n in ns]
+
+
+@lru_cache(maxsize=64)
+def _census(census, r, n, budget):
+    """One census per (r, n) serves all six languages.  The census function is
+    part of the key, so a replaced one is called afresh."""
+    return census(r, n, budget)
+
+
+def _naive(spec, ns, budget):
+    return [_census(oracle.naive_census, spec.r, n, budget)[spec.id] for n in ns]
+
+
+#: Every counting route by name, in the order `count --method` lists them.  The
+#: methods suite caps the slower routes' n so a check stays quick; the census
+#: runs wherever it fits the budget.
+ROUTES: dict[str, Route] = {
+    "closed": Route(_closed),
+    "hyper": Route(
+        _hyper, lambda spec, n, budget: spec.id in "BCEF" and spec.r >= 1 and 1 <= n <= 50
+    ),
+    "recurrence": Route(_recurrence),
+    "dp": Route(_dp, lambda spec, n, budget: n <= 16),
+    "series": Route(_series, lambda spec, n, budget: n <= 100),
+    "naive": Route(
+        _naive, lambda spec, n, budget: n >= 1 and (1 << (spec.r + 1)) ** (2 * n) <= budget
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -116,77 +175,30 @@ def _error_cell(suite, language, r, n, detail, exc):
 def run_methods_suite(
     r_values: Sequence[int], n_max: int, budget: int = DEFAULT_BUDGET
 ) -> list[CheckCell]:
-    """Closed form vs recurrence, series, hypergeometric, DP, and naive counts."""
+    """The closed form against every other route, on each route's checked n-range."""
+    _census.cache_clear()  # every check counts afresh
     cells: list[CheckCell] = []
     for r in r_values:
-        census: dict[int, dict[str, int]] = {}
-        for n in range(0, n_max + 1):
-            if n and (1 << (r + 1)) ** (2 * n) <= budget:
-                try:
-                    census[n] = naive_census(r, n, budget)
-                except BudgetExceeded:
-                    pass
         for lid in "ABCDEF":
             spec = LanguageSpec(lid, r)
             try:
-                table = formulas.recurrence_seq(spec, n_max).values
+                reference = ROUTES["closed"].values(spec, range(n_max + 1), budget)
             except Exception as exc:  # keep checking other families
-                cells.append(_error_cell("methods", lid, r, 0, "recurrence", exc))
-                table = None
-            series_order = min(n_max, SERIES_CAP)
-            try:
-                coeffs = gf_series(spec, series_order).coefficients
-            except Exception as exc:
-                cells.append(_error_cell("methods", lid, r, 0, "series", exc))
-                coeffs = None
-            for n in range(0, n_max + 1):
-                reference = closed_form(spec, n)
-                if table is not None:
-                    cells.append(
-                        _cell(
-                            "methods", lid, r, n, "closed-vs-recurrence",
-                            table[n] == reference,
-                            () if table[n] == reference else (reference, table[n]),
-                        )
-                    )
-                if coeffs is not None and n <= series_order:
-                    agree = coeffs[n].denominator == 1 and coeffs[n] == reference
-                    cells.append(
-                        _cell(
-                            "methods", lid, r, n, "closed-vs-series",
-                            agree, () if agree else (reference, coeffs[n]),
-                        )
-                    )
-                if lid in "BCEF" and r >= 1 and 1 <= n <= HYPER_CAP:
-                    try:
-                        hyper_value = hyper_form(spec, n)
-                        cells.append(
-                            _cell(
-                                "methods", lid, r, n, "closed-vs-hyper",
-                                hyper_value == reference,
-                                () if hyper_value == reference else (reference, hyper_value),
-                            )
-                        )
-                    except Exception as exc:
-                        cells.append(_error_cell("methods", lid, r, n, "hyper", exc))
-                if n <= DP_CAP:
-                    dp_value = count_dp(spec, n)
-                    cells.append(
-                        _cell(
-                            "methods", lid, r, n, "closed-vs-dp",
-                            dp_value == reference,
-                            () if dp_value == reference else (reference, dp_value),
-                        )
-                    )
-                if n in census:
-                    naive_value = census[n][lid]
-                    cells.append(
-                        _cell(
-                            "methods", lid, r, n, "closed-vs-naive",
-                            naive_value == reference,
-                            () if naive_value == reference else (reference, naive_value),
-                        )
-                    )
+                cells.append(_error_cell("methods", lid, r, 0, "closed", exc))
+                continue
+            for name, route in ROUTES.items():
+                ns = [n for n in range(n_max + 1) if route.checked(spec, n, budget)]
+                if name == "closed" or not ns:
+                    continue
+                try:
+                    values = route.values(spec, ns, budget)
+                except Exception as exc:  # keep checking other routes
+                    cells.append(_error_cell("methods", lid, r, 0, name, exc))
+                    continue
+                for n, value in zip(ns, values):
+                    agree = value == reference[n]
+                    shown = () if agree else (reference[n], value)
+                    cells.append(_cell("methods", lid, r, n, f"closed-vs-{name}", agree, shown))
     return cells
 
 
@@ -313,6 +325,8 @@ def run_check(
     asymptotic_schedule: Optional[Sequence[int]] = None,
 ) -> CheckReport:
     r_values = sorted(set(r_values))
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")

@@ -8,65 +8,27 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, LanguageSpec, LANGUAGE_IDS
-from . import formulas
+from .core import BudgetExceeded, ConsistencyError, LanguageSpec, LANGUAGE_IDS
 from .bfile import SequenceNotFound, bfile_emit, oeis_fetch
-from .checks import SUITE_NAMES, run_check
-from .oracle import DEFAULT_BUDGET, CountTable, count_dp, enumerate_words
-from .series import gf_series
+from .checks import ROUTES, SUITE_NAMES, run_check
+from .oracle import DEFAULT_BUDGET, CountTable
 
-METHODS = ("closed", "hyper", "recurrence", "dp", "series", "naive")
+METHODS = tuple(ROUTES)
 
 
 class UsageError(ValueError):
     """A flag combination outside the defined contracts."""
 
 
-def _compute_count(language: str, r: int, n: int, method: str, budget: int) -> int:
-    spec = LanguageSpec(language, r)
-    if method == "closed":
-        return formulas.closed_form(spec, n)
-    if method == "hyper":
-        if language not in "BCEF" or r < 1 or n < 1:
-            raise UsageError(
-                "method 'hyper' is defined for languages B, C, E, F with r >= 1 and n >= 1"
-            )
-        return formulas.hyper_form(spec, n)
-    if method == "recurrence":
-        return formulas.recurrence_seq(spec, n).values[n]
-    if method == "dp":
-        return count_dp(spec, n)
-    if method == "series":
-        coefficient = gf_series(spec, n)[n]
-        assert coefficient.denominator == 1
-        return coefficient.numerator
-    if method == "naive":
-        try:
-            return len(enumerate_words(spec, n, budget))
-        except BudgetExceeded as exc:
-            raise UsageError(str(exc)) from None
-    raise UsageError(f"unknown method {method!r}")
-
-
-def _series_values(language: str, r: int, terms: int) -> list[int]:
-    spec = LanguageSpec(language, r)
-    coeffs = gf_series(spec, terms - 1).coefficients
-    values = []
-    for c in coeffs:
-        assert c.denominator == 1
-        values.append(c.numerator)
-    return values
-
-
-def _format_series(language: str, r: int, values: list[int], fmt: str) -> str:
+def _format_series(spec: LanguageSpec, values: list[int], fmt: str) -> str:
     if fmt == "csv":
         return ",".join(str(v) for v in values)
     if fmt == "bfile":
-        table = CountTable(LanguageSpec(language, r), tuple(values))
+        table = CountTable(spec, tuple(values))
         return bfile_emit(table).rstrip("\n")
     if fmt == "json":
         payload = [
-            {"language": language, "r": r, "n": n, "method": "series", "value": str(v)}
+            {"language": spec.id, "r": spec.r, "n": n, "method": "series", "value": str(v)}
             for n, v in enumerate(values)
         ]
         return json.dumps(payload, sort_keys=True)
@@ -74,13 +36,14 @@ def _format_series(language: str, r: int, values: list[int], fmt: str) -> str:
 
 
 def _parse_r_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise UsageError(f"--r takes r or lo..hi, got {text!r}") from None
     if lo < 0 or hi < lo:
-        raise UsageError(f"bad r range {text!r}")
+        raise UsageError(f"--r needs 0 <= lo <= hi, got {text!r}")
     return list(range(lo, hi + 1))
 
 
@@ -102,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--method", choices=METHODS, default="closed")
     p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="candidate cap for the naive method")
+                         help="candidate cap for the naive census")
 
     p_series = sub.add_parser("series", help="print leading sequence terms")
     p_series.add_argument("language", nargs="?", choices=LANGUAGE_IDS)
@@ -135,23 +98,40 @@ def _resolve_language(args) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand.  Exit codes: 0 ok, 1 a check disagrees, 2 bad
+    input, 3 an internal cross-check failed (ConsistencyError)."""
+    # Counts have any number of digits: lift the integer printing limit while
+    # main runs.  Python releases before 3.10.7 have no limit.
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        return _run(argv)
+    finally:
+        set_limit(limit)
+
+
+def _run(argv: Optional[Sequence[str]]) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "count":
             if args.n < 0:
                 raise UsageError("n must be nonnegative")
-            language = _resolve_language(args)
-            print(_compute_count(language, args.r, args.n, args.method, args.budget))
+            spec = LanguageSpec(_resolve_language(args), args.r)
+            print(ROUTES[args.method].values(spec, [args.n], args.budget)[0])
             return 0
         if args.command == "series":
             if args.terms < 1:
                 raise UsageError("need at least one term")
-            language = _resolve_language(args)
-            values = _series_values(language, args.r, args.terms)
-            print(_format_series(language, args.r, values, args.format))
+            spec = LanguageSpec(_resolve_language(args), args.r)
+            values = ROUTES["series"].values(spec, range(args.terms), DEFAULT_BUDGET)
+            print(_format_series(spec, values, args.format))
             return 0
         if args.command == "check":
+            if args.n_max < 0:
+                raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
             suites = tuple(s for s in args.suites.split(",") if s)
             report = run_check(_parse_r_range(args.r), args.n_max, suites, args.budget)
             print(report.render())
@@ -165,7 +145,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for index, value in bf.entries:
                 print(f"{index} {value}")
             return 0
-    except (UsageError, ValueError, SequenceNotFound) as exc:
+    except ConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, BudgetExceeded, SequenceNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

@@ -48,7 +48,8 @@ def narayana(n: int, k: int) -> int:
     if not 1 <= k <= n:
         raise ValueError(f"narayana needs 1 <= k <= n, got n={n}, k={k}")
     value = comb(n, k) * comb(n, k - 1)
-    assert value % n == 0
+    if value % n:
+        raise ConsistencyError(f"narayana({n}, {k}) is not an integer")
     return value // n
 
 
@@ -299,7 +300,10 @@ def recurrence_seq(spec: LanguageSpec, n_max: int) -> CountTable:
         values.append(v)
     values = values[: n_max + 1]
     for n in range(len(values), n_max + 1):
-        assert n >= rs.start
+        if n < rs.start:
+            raise ConsistencyError(
+                f"recurrence for {spec} starts at n={rs.start}, but t_{n} has no initial condition"
+            )
         rhs = rs.back1(n) * values[n - 1]
         if rs.order == 2:
             rhs += rs.back2(n) * values[n - 2]

@@ -82,11 +82,6 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     return result
 
 
-def count_naive(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Exhaustive candidate count for one language (vectorized scan)."""
-    return naive_census(spec.r, n, budget)[spec.id]
-
-
 def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
     """Count members of all six languages by scanning every candidate word.
 

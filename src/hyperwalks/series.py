@@ -119,12 +119,16 @@ def ps_sqrt(a: PowerSeries) -> PowerSeries:
 
 
 def _shift_down(a: PowerSeries, scale: int) -> PowerSeries:
-    """Divide by (scale * x): drop the constant term, which must vanish."""
+    """Divide by (scale * x) a numerator whose constant term must vanish; the
+    quotient's constant term must be 1, the empty walk."""
     if a[0] != 0:
         raise ConsistencyError(
             f"cannot divide by x: constant term is {a[0]}, expected 0"
         )
-    return PowerSeries(tuple(c / scale for c in a.coefficients[1:]))
+    result = PowerSeries(tuple(c / scale for c in a.coefficients[1:]))
+    if result[0] != 1:
+        raise ConsistencyError(f"constant term after dividing by x is {result[0]}, expected 1")
+    return result
 
 
 def _polynomial(coeffs: Sequence[Coefficient], order: int) -> PowerSeries:
@@ -150,9 +154,7 @@ def gf_series(spec: LanguageSpec, N: int) -> PowerSeries:
     if lid == "D":
         radicand = _polynomial([1, -big], N + 1)
         numerator = ps_sub(_polynomial([1], N + 1), ps_sqrt(radicand))
-        result = _shift_down(numerator, big // 2)
-        assert result[0] == 1
-        return result
+        return _shift_down(numerator, big // 2)
     if r == 0:
         if lid == "C":
             return ps_div(_polynomial([1, 1], N), _polynomial([1, -1], N))
@@ -178,9 +180,7 @@ def gf_series(spec: LanguageSpec, N: int) -> PowerSeries:
     else:
         numerator = ps_sub(_polynomial([1, -m], N + 1), root)
         scale = 2 * (q - 1) ** 2
-    result = _shift_down(numerator, scale)
-    assert result[0] == 1
-    return result
+    return _shift_down(numerator, scale)
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,8 @@ class AsymptoticForm:
     def __post_init__(self):
         if self.alpha not in (Fraction(1, 2), Fraction(-1, 2)):
             raise ValueError(f"unsupported exponent alpha={self.alpha}")
-        # The estimate of a positive sequence must be positive.
-        assert (self.scale < 0) == (self.gamma_alpha < 0)
+        if (self.scale < 0) != (self.gamma_alpha < 0):
+            raise ConsistencyError("the estimate of a positive sequence must be positive")
 
     @property
     def gamma_alpha(self) -> float:

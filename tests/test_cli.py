@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import hyperwalks
 import hyperwalks.formulas as formulas_module
+import hyperwalks.oracle as oracle_module
+import hyperwalks.series as series_module
+from hyperwalks import ConsistencyError, CountTable, PowerSeries
 from hyperwalks.cli import main
-from hyperwalks.checks import run_check
+from hyperwalks.checks import ROUTES, run_check
 from hyperwalks.formulas import recurrence_spec
 
 
@@ -43,7 +52,7 @@ def test_count_recurrence_r0(capsys):
 
 def test_count_all_methods_agree(capsys):
     values = set()
-    for method in ("closed", "hyper", "recurrence", "dp", "series", "naive"):
+    for method in ROUTES:
         code, out, _ = run(capsys, "count", "F", "--r", "1", "--n", "3", "--method", method)
         assert code == 0
         values.add(out.strip())
@@ -59,6 +68,44 @@ def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "A", "--r", "2", "--n", "9", "--method", "naive")
     assert code == 2
     assert "budget" in err
+
+
+requires_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no integer printing limit"
+)
+
+
+@requires_digit_limit
+def test_count_prints_any_size(capsys):
+    code, out, _ = run(capsys, "count", "A", "--r", "3", "--n", "2000")
+    assert code == 0
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.strip() == str(2 ** (6 * 2000) * comb(4000, 2000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@requires_digit_limit
+def test_count_restores_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        run(capsys, "count", "A", "--r", "3", "--n", "2000")
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_count_consistency_error_exits_3(capsys, monkeypatch):
+    def broken(spec, n):
+        raise ConsistencyError("corrupted")
+
+    monkeypatch.setattr(formulas_module, "closed_form", broken)
+    code, _, err = run(capsys, "count", "A", "--r", "1", "--n", "2")
+    assert code == 3
+    assert "corrupted" in err
 
 
 def test_series_csv(capsys):
@@ -116,6 +163,66 @@ def test_check_json_deterministic(capsys, tmp_path):
         )
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--n-max", "-1"), ("--r", "1.."), ("--r", "x"), ("--r", "2..1")]
+)
+def test_check_rejects_bad_input(capsys, flag, value):
+    code, out, err = run(capsys, "check", flag, value)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def _plus_one_last(table):
+    return CountTable(table.spec, table.values[:-1] + (table.values[-1] + 1,))
+
+
+def _plus_one_last_coefficient(power_series):
+    return PowerSeries(power_series.coefficients[:-1] + (power_series.coefficients[-1] + 1,))
+
+
+# Each route's module attribute and a corruption of what it returns.
+CORRUPTIONS = {
+    "closed": (formulas_module, "closed_form", lambda value: value + 1),
+    "hyper": (formulas_module, "hyper_form", lambda value: value + 1),
+    "recurrence": (formulas_module, "recurrence_seq", _plus_one_last),
+    "dp": (oracle_module, "count_dp", lambda value: value + 1),
+    "series": (series_module, "gf_series", _plus_one_last_coefficient),
+    "naive": (oracle_module, "naive_census", lambda census: {**census, "C": census["C"] + 1}),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_check_detects_each_corrupted_route(capsys, monkeypatch, route):
+    module, name, corrupt = CORRUPTIONS[route]
+    good = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: corrupt(good(*args)))
+    code, out, _ = run(capsys, "check", "--r", "1", "--n-max", "4", "--suites", "methods")
+    assert code == 1
+    assert "FAIL" in out
+
+
+def test_optimized_interpreter_catches_corrupted_recurrence_start():
+    # Under python -O asserts vanish; the start-of-recurrence guard must not.
+    script = """
+import dataclasses, sys
+import hyperwalks.formulas as formulas
+from hyperwalks.cli import main
+
+if __debug__:
+    sys.exit("not running under -O")
+good = formulas.recurrence_spec
+formulas.recurrence_spec = lambda spec: dataclasses.replace(good(spec), start=good(spec).start + 1)
+sys.exit(main(["check", "--r", "1", "--n-max", "5", "--suites", "methods"]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalks.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "recurrence error" in proc.stdout
 
 
 def test_check_detects_corrupted_initial_condition(capsys, monkeypatch):

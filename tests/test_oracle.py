@@ -9,7 +9,6 @@ from hyperwalks import (
     count_dp,
     count_dp_first_step,
     count_dp_multi,
-    count_naive,
     enumerate_words,
     naive_census,
     parse_word,
@@ -83,7 +82,7 @@ def test_dp_deep_cells_match_closed_form(lid, r, n):
 
 
 def test_count_naive_single_language():
-    assert count_naive(LanguageSpec("C", 1), 2) == 56
+    assert naive_census(1, 2)["C"] == 56
 
 
 def test_naive_census_budget_refusal():

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
+    ConsistencyError,
     DimensionMismatch,
     LanguageSpec,
     PatternKind,
@@ -48,22 +49,13 @@ _HALFSPACE_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class DpdaConfiguration:
-    """Snapshot of a machine run: control state plus the full stack."""
-
-    state: str
-    stack: tuple[str, ...]
-
-    def check_invariants(self) -> None:
-        assert self.stack and self.stack[0] == Z0, "stack must keep Z0 at the bottom"
-        assert Z0 not in self.stack[1:], "Z0 may appear only at the bottom"
-        body = set(self.stack[1:])
-        assert len(body) <= 1, f"stack body must be homogeneous, got {self.stack}"
-
-
 def _simulate(rules: dict, r: int, w: Word) -> bool:
     """Run one machine over a word; accept iff it ends accepting on bare Z0.
+
+    Every push repeats the current top symbol, so the stack is Z0 under a
+    homogeneous body and is kept exactly as its top symbol plus the depth of
+    the body: (Z0, 0) is the bare bottom marker.  Each step is one table
+    lookup and O(1) work, and the stack invariants are checked on the way.
 
     The epsilon return to the accepting state is applied eagerly whenever the
     working state sees a bare Z0, so no configuration ever faces a choice
@@ -73,26 +65,34 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
         raise DimensionMismatch(
             f"word has dimension {w.dimension}, machine expects {r + 1}"
         )
-    config = DpdaConfiguration(ACCEPT, (Z0,))
+    state, top, depth = ACCEPT, Z0, 0
     for step in w:
-        key = (config.state, step.tracked, config.stack[-1])
         # Determinism: the epsilon move fires only in the working state on a
         # bare Z0, where no consuming rule is defined; eager application below
         # makes that configuration unreachable here.
-        assert not (config.state == WORK and config.stack[-1] == Z0)
-        rule = rules.get(key)
+        if state == WORK and depth == 0:
+            raise ConsistencyError("the working state faces a bare Z0")
+        rule = rules.get((state, step.tracked, top))
         if rule is None:
             return False
         state, action = rule
         if action == "pop":
-            stack = config.stack[:-1]
+            if depth == 0:
+                raise ConsistencyError("pop below the bottom marker Z0")
+            depth -= 1
+            if depth == 0:
+                top = Z0
         else:
-            stack = config.stack + (action.split(":")[1],)
-        if state == WORK and stack[-1] == Z0:
+            symbol = action[len("push:"):]
+            if symbol == Z0 or (depth and symbol != top):
+                raise ConsistencyError(
+                    f"push of {symbol} onto {top} breaks the homogeneous stack body"
+                )
+            top = symbol
+            depth += 1
+        if state == WORK and depth == 0:
             state = ACCEPT
-        config = DpdaConfiguration(state, stack)
-        config.check_invariants()
-    return config.state == ACCEPT and config.stack == (Z0,)
+    return state == ACCEPT and depth == 0
 
 
 def accepts_hyperplane(r: int, w: Word) -> bool:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import LanguageSpec, StepVector, Word
+from .core import ConsistencyError, LanguageSpec, StepVector, Word
 from .automata import recognize
 
 E_LANGUAGE = LanguageSpec("E", 1)
-FIRST_STEP = StepVector((1, 1))
 
 _ALPHABET = (
     StepVector((1, 1)),
@@ -25,6 +24,7 @@ _ALPHABET = (
     StepVector((-1, 1)),
     StepVector((-1, -1)),
 )
+FIRST_STEP = _ALPHABET[0]
 
 
 class BijectionDomainError(ValueError):
@@ -151,12 +151,12 @@ def phi_inverse(p: DiagonalPath) -> Word:
             if sign != 1:
                 raise BijectionDomainError("a valid nonempty path must start upward")
         else:
+            excluded = (prev, prev.negate())
             candidates = [
-                StepVector((x, sign))
-                for x in (1, -1)
-                if StepVector((x, sign)) != prev and StepVector((x, sign)) != prev.negate()
+                step for step in _ALPHABET if step.tracked == sign and step not in excluded
             ]
-            assert len(candidates) == 1, "run reconstruction must be forced"
+            if len(candidates) != 1:
+                raise ConsistencyError("run reconstruction must be forced")
             run_step = candidates[0]
         steps.extend([run_step] * j)
         prev = run_step
@@ -181,9 +181,9 @@ def enumerate_domain_walks(n: int) -> Iterator[Word]:
                 yield Word(tuple(prefix))
             return
         remaining = length - position
-        prev = prefix[-1]
+        opposite = prefix[-1].negate()
         for step in _ALPHABET:
-            if step == prev.negate():
+            if step == opposite:
                 continue
             h = height + step.tracked
             if h < 0 or h > remaining - 1:

@@ -86,7 +86,7 @@ class StepVector:
         return cls(tuple(-1 if mask >> i & 1 else 1 for i in range(r + 1)))
 
     def negate(self) -> "StepVector":
-        return StepVector(tuple(-c for c in self.coords))
+        return _negation(self.coords)
 
     def flip(self, i: int) -> "StepVector":
         """Negate coordinate i (1-based); an involution for each i."""
@@ -101,6 +101,16 @@ class StepVector:
 
     def __str__(self) -> str:
         return self.text()
+
+
+@lru_cache(maxsize=1 << 12)
+def _negation(coords: tuple[int, ...]) -> StepVector:
+    """The negated step, built once per distinct step of the finite alphabet.
+
+    Steps are immutable, so one negation serves every caller; the recognizer
+    and the bijection check negate a step per letter they read.
+    """
+    return StepVector(tuple(-c for c in coords))
 
 
 def parse_step(text: str, r: int) -> StepVector:

@@ -82,15 +82,45 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     return result
 
 
+#: Most candidates the census holds in memory at once.
+CENSUS_CHUNK = 1 << 20
+
+
+def _append_steps(
+    prefixes: tuple[np.ndarray, ...], digits: np.ndarray, signs: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per-candidate arrays of every prefix followed by every step.
+
+    `prefixes` holds, per prefix, its tracked height, the lowest height seen
+    (0 included), whether it contains a backtrack and whether it contains a
+    repeat, and its last step mask.  Of m prefixes, prefix i followed by step
+    d lands at index d * m + i, so each candidate keeps its own entries.
+    """
+    height, lowest, backtracks, repeats, last = prefixes
+    full = len(digits) - 1
+    steps = digits[:, None]
+    new_height = signs[:, None] + height
+    return (
+        new_height.ravel(),
+        np.minimum(lowest, new_height).ravel(),
+        (backtracks | (steps == last ^ full)).ravel(),
+        (repeats | (steps == last)).ravel(),
+        np.repeat(digits, len(height)),
+    )
+
+
 def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
     """Count members of all six languages by scanning every candidate word.
 
-    Each candidate of length 2n over the 2^(r+1)-letter alphabet is encoded as
-    an integer whose base-2^(r+1) digits are step masks (bit i set means
-    coordinate i+1 is -1).  Membership is evaluated arithmetically per word:
-    tracked prefix sums for the hyperplane and half-space conditions, adjacent
-    digit comparisons for the patterns.  This touches all candidates, exactly
-    like enumerate_words, without building word objects.
+    Each candidate of length 2n over the 2^(r+1)-letter alphabet is a sequence
+    of step masks (bit i set means coordinate i+1 is -1).  Membership is
+    evaluated arithmetically per word: tracked prefix sums for the hyperplane
+    and half-space conditions, adjacent mask comparisons for the patterns.
+    The leading steps of every candidate are laid out once; the candidates
+    sharing a few leading prefixes are then built by appending the remaining
+    steps one at a time, at most CENSUS_CHUNK candidates at once.  This
+    touches all candidates, exactly like enumerate_words, without building
+    word objects, and holds O(CENSUS_CHUNK) of them in memory.
     """
     if n == 0:
         return {lid: 1 for lid in "ABCDEF"}
@@ -101,37 +131,34 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
         raise BudgetExceeded(
             f"naive census needs {total} candidate words, budget is {budget}"
         )
-    bits = r + 1
-    full = size - 1
-    ids = np.arange(total, dtype=np.int64)
-
-    height = np.zeros(total, dtype=np.int16)
-    min_height = np.zeros(total, dtype=np.int16)
-    backtracks = np.zeros(total, dtype=bool)
-    repeats = np.zeros(total, dtype=bool)
-    prev_digit = None
-    for p in range(length):
-        digit = ((ids >> (bits * p)) & full).astype(np.int16)
-        sign = np.where((digit >> r) & 1, -1, 1).astype(np.int16)
-        height += sign
-        np.minimum(min_height, height, out=min_height)
-        if prev_digit is not None:
-            backtracks |= digit == (prev_digit ^ full)
-            repeats |= digit == prev_digit
-        prev_digit = digit
-
-    ends_zero = height == 0
-    stays_up = min_height >= 0
-    no_bt = ~backtracks
-    no_rep = ~repeats
-    return {
-        "A": int(np.count_nonzero(ends_zero)),
-        "B": int(np.count_nonzero(ends_zero & no_bt)),
-        "C": int(np.count_nonzero(ends_zero & no_rep)),
-        "D": int(np.count_nonzero(ends_zero & stays_up)),
-        "E": int(np.count_nonzero(ends_zero & stays_up & no_bt)),
-        "F": int(np.count_nonzero(ends_zero & stays_up & no_rep)),
-    }
+    digits = np.arange(size, dtype=np.min_scalar_type(size - 1))
+    signs = np.where(digits >> r & 1, -1, 1).astype(np.int16)
+    tail = 0
+    while tail < length - 1 and size ** (tail + 1) <= CENSUS_CHUNK:
+        tail += 1
+    # The one-step prefixes: a first step has no predecessor to clash with.
+    no_clash = np.zeros(size, dtype=bool)
+    heads = (signs, np.minimum(signs, 0), no_clash, no_clash, digits)
+    for _ in range(length - tail - 1):
+        heads = _append_steps(heads, digits, signs)
+    group = max(1, CENSUS_CHUNK // size ** tail)
+    counts = dict.fromkeys("ABCDEF", 0)
+    for start in range(0, len(heads[0]), group):
+        words = tuple(a[start:start + group] for a in heads)
+        for _ in range(tail):
+            words = _append_steps(words, digits, signs)
+        height, lowest, backtracks, repeats, _ = words
+        ends_zero = height == 0
+        stays_up = ends_zero & (lowest >= 0)
+        no_bt = ~backtracks
+        no_rep = ~repeats
+        counts["A"] += int(np.count_nonzero(ends_zero))
+        counts["B"] += int(np.count_nonzero(ends_zero & no_bt))
+        counts["C"] += int(np.count_nonzero(ends_zero & no_rep))
+        counts["D"] += int(np.count_nonzero(stays_up))
+        counts["E"] += int(np.count_nonzero(stays_up & no_bt))
+        counts["F"] += int(np.count_nonzero(stays_up & no_rep))
+    return counts
 
 
 def _forbidden_partner(pattern: Optional[PatternKind], mask: int, full: int) -> Optional[int]:

@@ -50,11 +50,6 @@ class PowerSeries:
         return self.coefficients[n]
 
 
-def _pad(a: PowerSeries, order: int) -> PowerSeries:
-    """Extend a polynomial with zero coefficients (for exact polynomials only)."""
-    return PowerSeries.from_coefficients(a.coefficients, order)
-
-
 def ps_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
     n = min(a.order, b.order)
     return PowerSeries(tuple(a[i] + b[i] for i in range(n + 1)))
@@ -111,7 +106,7 @@ def ps_sqrt(a: PowerSeries) -> PowerSeries:
     correct = 1
     while correct < n + 1:
         prec = min(2 * correct, n + 1)
-        yp = _pad(y, prec - 1)
+        yp = _polynomial(y.coefficients, prec - 1)
         ap = PowerSeries(a.coefficients[:prec])
         y = ps_scale(ps_add(yp, ps_div(ap, yp)), Fraction(1, 2))
         correct = prec

@@ -1,11 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hyperwalks
+import hyperwalks.automata as automata
 from hyperwalks import (
     DimensionMismatch,
     LanguageSpec,
     PatternKind,
+    StepVector,
     Word,
     accepts_halfspace,
     accepts_hyperplane,
@@ -92,3 +101,90 @@ def test_membership_invariant_under_coordinate_flips(r, max_len):
         for lid in "ABC":
             spec = LanguageSpec(lid, r)
             assert recognize(spec, w) == recognize(spec, mirrored)
+
+
+@st.composite
+def tall_walks(draw):
+    """(r, steps as +-1 tuples): an excursion of height `peak` around a random
+    middle and its mirror, optionally with one coordinate flipped.  Free
+    coordinates are either random or chosen to avoid both patterns."""
+    r = draw(st.integers(0, 2))
+    rng = draw(st.randoms(use_true_random=False))
+    peak = draw(st.one_of(st.integers(0, 40), st.integers(1000, 1400)))
+    middle = [rng.choice((1, -1)) for _ in range(draw(st.integers(0, 100)))]
+    sign = rng.choice((1, -1))
+    tracked = [sign] * peak + middle + [-c for c in middle] + [-sign] * peak
+    clean = draw(st.booleans())
+    steps = []
+    for last in tracked:
+        free = tuple(rng.choice((1, -1)) for _ in range(r))
+        if clean and steps and r:
+            previous = steps[-1][:-1]
+            if last != steps[-1][-1]:
+                free = previous  # neither a repeat nor a backtrack
+            elif free == previous:
+                free = (-free[0],) + free[1:]
+        steps.append(free + (last,))
+    if steps and draw(st.booleans()):
+        i = rng.randrange(len(steps))
+        j = rng.randrange(r + 1)
+        steps[i] = tuple(-c if k == j else c for k, c in enumerate(steps[i]))
+    return r, steps
+
+
+def reference_membership(spec, steps):
+    """Prefix sums of the last coordinate plus an adjacent-pair scan."""
+    heights = list(itertools.accumulate((s[-1] for s in steps), initial=0))
+    if heights[-1] != 0 or (spec.halfspace and min(heights) < 0):
+        return False
+    pairs = list(zip(steps, steps[1:]))
+    if spec.pattern is PatternKind.BACKTRACK:
+        return all(b != tuple(-c for c in a) for a, b in pairs)
+    if spec.pattern is PatternKind.REPEAT:
+        return all(a != b for a, b in pairs)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_walks())
+def test_recognize_matches_reference_on_tall_walks(walk):
+    r, steps = walk
+    w = Word(tuple(StepVector(s) for s in steps))
+    for lid in "ABCDEF":
+        spec = LanguageSpec(lid, r)
+        assert recognize(spec, w) == reference_membership(spec, steps)
+
+
+def test_transition_table_drives_the_halfspace_machine(monkeypatch):
+    up_down = parse_word("++,--", 1)
+    assert accepts_halfspace(1, up_down)
+    assert recognize(LanguageSpec("D", 1), up_down)
+    monkeypatch.delitem(automata._HALFSPACE_RULES, (automata.WORK, -1, automata.U))
+    assert not accepts_halfspace(1, up_down)
+    assert not recognize(LanguageSpec("D", 1), up_down)
+    assert accepts_halfspace(1, Word(()))
+
+
+def test_optimized_interpreter_catches_corrupted_push():
+    # Under python -O asserts vanish; the stack-body invariant must not.
+    script = """
+import sys
+import hyperwalks.automata as automata
+from hyperwalks import ConsistencyError, LanguageSpec, parse_word, recognize
+
+if __debug__:
+    sys.exit("not running under -O")
+automata._HYPERPLANE_RULES[(automata.WORK, 1, automata.U)] = (automata.WORK, "push:" + automata.D)
+try:
+    recognize(LanguageSpec("A", 1), parse_word("++,++,--,--", 1))
+except ConsistencyError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("no ConsistencyError")
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperwalks.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "homogeneous" in proc.stdout

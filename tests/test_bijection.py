@@ -1,7 +1,9 @@
 import pytest
 
+import hyperwalks.bijection as bijection
 from hyperwalks import (
     BijectionDomainError,
+    ConsistencyError,
     DiagonalPath,
     LanguageSpec,
     Word,
@@ -76,6 +78,14 @@ def test_phi_inverse_rejects_invalid_paths():
         phi_inverse(DiagonalPath(((1, 1), (1, 1))))  # nonzero end
     with pytest.raises(BijectionDomainError):
         phi_inverse(DiagonalPath(()))
+
+
+def test_phi_inverse_requires_a_forced_run_step(monkeypatch):
+    # With a duplicated letter two steps survive the exclusions; the inverse
+    # must refuse to choose instead of picking one.
+    monkeypatch.setattr(bijection, "_ALPHABET", bijection._ALPHABET + (StepVector((1, -1)),))
+    with pytest.raises(ConsistencyError):
+        phi_inverse(WORKED_PATH)
 
 
 def test_diagonal_path_validation_and_text():

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import pytest
 
+import hyperwalks.oracle as oracle
 from hyperwalks import (
     BudgetExceeded,
     CountTable,
@@ -66,7 +69,7 @@ def test_dp_agrees_with_reference_engine(lid, r, n_top):
         assert count_dp(spec, n) == count_dp_reference(spec, n)
 
 
-@pytest.mark.parametrize("r,n_top", [(1, 4), (2, 3)])
+@pytest.mark.parametrize("r,n_top", [(0, 2), (1, 4), (2, 3)])
 def test_naive_census_matches_dp(r, n_top):
     for n in range(n_top + 1):
         census = naive_census(r, n)
@@ -79,6 +82,35 @@ def test_dp_deep_cells_match_closed_form(lid, r, n):
     from hyperwalks import closed_form
 
     assert count_dp(LanguageSpec(lid, r), n) == closed_form(LanguageSpec(lid, r), n)
+
+
+@pytest.mark.parametrize("r,n,budget", [(2, 4, 8**8), (1, 6, 4**12)])
+def test_naive_census_across_chunks_matches_dp(r, n, budget):
+    assert budget > oracle.CENSUS_CHUNK
+    census = naive_census(r, n, budget)
+    for lid in "ABCDEF":
+        assert census[lid] == count_dp(LanguageSpec(lid, r), n)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_naive_census_independent_of_chunk_size(monkeypatch, chunk):
+    # Chunks of one candidate, of fewer candidates than the alphabet, and of
+    # several leading prefixes at once must all see every candidate once.
+    monkeypatch.setattr(oracle, "CENSUS_CHUNK", chunk)
+    for r, n in [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1)]:
+        census = naive_census(r, n)
+        for lid in "ABCDEF":
+            assert census[lid] == count_dp(LanguageSpec(lid, r), n)
+
+
+def test_naive_census_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        naive_census(2, 4, 8**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 10**6, f"census of 8^8 candidates peaked at {peak / 1e6:.1f} MB"
 
 
 def test_count_naive_single_language():

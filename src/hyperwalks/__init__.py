@@ -13,16 +13,13 @@ from .core import (
     ConsistencyError,
     DimensionMismatch,
     BudgetExceeded,
+    CountTable,
     LanguageSpec,
     PatternKind,
     StepFormatError,
     StepVector,
     Word,
-    flip_coordinate,
-    format_step,
-    format_word,
     height_profile,
-    negate_step,
     parse_step,
     parse_word,
     step_alphabet,
@@ -34,7 +31,6 @@ from .automata import (
     recognize,
 )
 from .oracle import (
-    CountTable,
     count_dp,
     count_dp_first_step,
     count_dp_multi,
@@ -43,7 +39,6 @@ from .oracle import (
 )
 from .formulas import (
     HypergeometricSpec,
-    RecurrenceSpec,
     SingularParameterError,
     a_multi,
     a_multi_recurrence,
@@ -57,7 +52,6 @@ from .formulas import (
     recurrence_seq,
 )
 from .series import (
-    AsymptoticForm,
     PowerSeries,
     asymptotic_form,
     asymptotic_ratio,
@@ -70,7 +64,6 @@ from .series import (
 from .bijection import (
     BijectionDomainError,
     DiagonalPath,
-    RunDecomposition,
     count_E_double_prime,
     phi,
     phi_inverse,
@@ -78,16 +71,14 @@ from .bijection import (
     verify_bijection,
 )
 from .bfile import BFile, bfile_emit, bfile_parse, compare_with_table, oeis_fetch
-from .checks import CheckReport, run_check
+from .checks import run_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticForm",
     "BFile",
     "BijectionDomainError",
     "BudgetExceeded",
-    "CheckReport",
     "ConsistencyError",
     "CountTable",
     "DiagonalPath",
@@ -96,8 +87,6 @@ __all__ = [
     "LanguageSpec",
     "PatternKind",
     "PowerSeries",
-    "RecurrenceSpec",
-    "RunDecomposition",
     "SingularParameterError",
     "StepFormatError",
     "StepVector",
@@ -121,16 +110,12 @@ __all__ = [
     "count_dp_multi",
     "cross_ratio_check",
     "enumerate_words",
-    "flip_coordinate",
-    "format_step",
-    "format_word",
     "gf_series",
     "height_profile",
     "hyper_form",
     "hyper_terminating",
     "naive_census",
     "narayana",
-    "negate_step",
     "oeis_fetch",
     "parse_step",
     "parse_word",

@@ -10,15 +10,11 @@ adjacent-pair scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import (
     ConsistencyError,
     DimensionMismatch,
     LanguageSpec,
     PatternKind,
-    StepVector,
     Word,
 )
 
@@ -105,27 +101,19 @@ def accepts_halfspace(r: int, w: Word) -> bool:
     return _simulate(_HALFSPACE_RULES, r, w)
 
 
-@dataclass
-class PatternMemory:
-    """One-step memory realizing the regular pattern-avoidance languages."""
-
-    previous: Optional[StepVector] = None
-
-    def feed(self, kind: PatternKind, step: StepVector) -> bool:
-        """Consume one step; return False iff the forbidden pair just occurred."""
-        prev = self.previous
-        self.previous = step
-        if prev is None:
-            return True
-        if kind is PatternKind.BACKTRACK:
-            return step != prev.negate()
-        return step != prev
-
-
 def avoids_pattern(kind: PatternKind, w: Word) -> bool:
-    """True iff no adjacent pair matches the forbidden pattern."""
-    memory = PatternMemory()
-    return all(memory.feed(kind, step) for step in w)
+    """True iff no adjacent pair matches the forbidden pattern.
+
+    A one-step memory: the regular check that the pattern families intersect
+    with the pushdown machines.
+    """
+    backtrack = kind is PatternKind.BACKTRACK
+    previous = None
+    for step in w:
+        if previous is not None and step == (previous.negate() if backtrack else previous):
+            return False
+        previous = step
+    return True
 
 
 def recognize(spec: LanguageSpec, w: Word) -> bool:

@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .oracle import CountTable
+from .core import CountTable
 
 #: Environment variable overriding the b-file cache directory.
 CACHE_ENV_VAR = "HYPERWALKS_OEIS_CACHE"
@@ -29,7 +29,7 @@ class BFileParseError(ValueError):
 
 
 class SequenceNotFound(LookupError):
-    """No cached, bundled, or fetched b-file is available for the id."""
+    """No cached or bundled b-file is available for the id."""
 
 
 @dataclass(frozen=True)
@@ -99,16 +99,11 @@ def default_cache_dir() -> Optional[Path]:
     return Path(env) if env else None
 
 
-def oeis_fetch(
-    sequence_id: str,
-    cache_dir: Optional[Path] = None,
-    allow_network: bool = False,
-) -> BFile:
-    """Return the b-file for an OEIS id from cache, bundle, or (optionally) the web.
+def oeis_fetch(sequence_id: str, cache_dir: Optional[Path] = None) -> BFile:
+    """Return the b-file for an OEIS id from the cache or the bundled fixtures.
 
     Lookup order: the cache directory, then the bundled fixtures (copied into
-    the cache when one is configured), then oeis.org when allow_network is set.
-    Offline use never touches the network.
+    the cache when one is configured).  Nothing touches the network.
     """
     sequence_id = sequence_id.strip().upper()
     if not _ID_PATTERN.match(sequence_id):
@@ -123,12 +118,6 @@ def oeis_fetch(
             return bfile_parse(cached.read_text())
 
     text = _fixture_text(sequence_id)
-    if text is None and allow_network:
-        from urllib.request import urlopen
-
-        url = f"https://oeis.org/{sequence_id}/{file_name}"
-        with urlopen(url, timeout=10) as response:  # pragma: no cover - network
-            text = response.read().decode()
     if text is None:
         raise SequenceNotFound(f"no cached or bundled b-file for {sequence_id}")
 

@@ -8,10 +8,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, ConsistencyError, LanguageSpec, LANGUAGE_IDS
+from .core import BudgetExceeded, ConsistencyError, CountTable, LanguageSpec, LANGUAGE_IDS
 from .bfile import SequenceNotFound, bfile_emit, oeis_fetch
-from .checks import ROUTES, SUITE_NAMES, run_check
-from .oracle import DEFAULT_BUDGET, CountTable
+from .checks import DEFAULT_BUDGET, ROUTES, SUITE_NAMES, run_check
 
 METHODS = tuple(ROUTES)
 

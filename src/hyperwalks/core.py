@@ -1,4 +1,5 @@
-"""Domain vocabulary: steps, words, language selectors, and their text formats.
+"""Domain vocabulary: steps, words, language selectors, their text formats,
+and the tables of counts indexed by semilength.
 
 A step is a vector in {+1, -1}^(r+1).  The last coordinate (index r+1) is the
 tracked coordinate: its prefix sums decide the hyperplane and half-space
@@ -133,19 +134,6 @@ def parse_step(text: str, r: int) -> StepVector:
     return StepVector(tuple(coords))
 
 
-def format_step(s: StepVector) -> str:
-    """Inverse of parse_step."""
-    return s.text()
-
-
-def negate_step(s: StepVector) -> StepVector:
-    return s.negate()
-
-
-def flip_coordinate(s: StepVector, i: int) -> StepVector:
-    return s.flip(i)
-
-
 @dataclass(frozen=True)
 class Word:
     """A sequence of steps of one common dimension; the empty word is valid."""
@@ -153,9 +141,13 @@ class Word:
     steps: tuple[StepVector, ...]
 
     def __post_init__(self):
-        dims = {s.dimension for s in self.steps}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"mixed step dimensions in word: {sorted(dims)}")
+        if not self.steps:
+            return
+        dimension = self.steps[0].dimension
+        for s in self.steps:
+            if s.dimension != dimension:
+                dims = sorted({s.dimension for s in self.steps})
+                raise DimensionMismatch(f"mixed step dimensions in word: {dims}")
 
     @property
     def dimension(self) -> Optional[int]:
@@ -180,10 +172,6 @@ def parse_word(text: str, r: int) -> Word:
     if text == "":
         return Word(())
     return Word(tuple(parse_step(part, r) for part in text.split(",")))
-
-
-def format_word(w: Word) -> str:
-    return w.text()
 
 
 def height_profile(w: Word) -> list[int]:
@@ -227,6 +215,29 @@ class LanguageSpec:
 
     def __str__(self) -> str:
         return f"{self.id}(r={self.r})"
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Counts of a family's walks indexed by semilength 0..N.
+
+    For hyperplane-intersection counts (j > 0) the spec field holds the
+    underlying A/D family and j records how many extra coordinates are pinned.
+    """
+
+    spec: LanguageSpec
+    values: tuple[int, ...]
+    j: int = 0
+
+    def __post_init__(self):
+        if not self.values or self.values[0] != 1:
+            raise ValueError("a count table must start with the empty walk (value 1 at n=0)")
+        if any(v < 0 for v in self.values):
+            raise ValueError("counts cannot be negative")
+
+    @property
+    def n_max(self) -> int:
+        return len(self.values) - 1
 
 
 @lru_cache(maxsize=None)

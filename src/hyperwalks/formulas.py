@@ -14,8 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .core import ConsistencyError, LanguageSpec
-from .oracle import CountTable
+from .core import ConsistencyError, CountTable, LanguageSpec
 
 
 class SingularParameterError(ValueError):

@@ -1,17 +1,17 @@
 """Independent counting oracles.
 
-Two ground-truth counters that share nothing with the closed forms,
-recurrences, or series expansions: exhaustive generate-and-filter enumeration,
-and a dynamic program over (tracked height, previous step).  A vectorized
-census scans every candidate word arithmetically for grids where materializing
-word objects is too slow, and a multi-coordinate DP covers walks that must end
-on (and optionally stay above) several hyperplanes at once.
+Ground-truth counters that share nothing with the closed forms, recurrences,
+or series expansions: exhaustive generate-and-filter enumeration, a vectorized
+census that scans every candidate word arithmetically where materializing word
+objects is too slow, and one dynamic program over (tracked heights, previous
+step).  The DP serves the single-hyperplane counts, the counts restricted to a
+first step, and the walks that must end on (and optionally stay above) several
+hyperplanes at once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -29,37 +29,6 @@ from .automata import recognize
 
 #: Default cap on the number of candidate words an exhaustive scan may touch.
 DEFAULT_BUDGET = 1 << 22
-
-
-@dataclass(frozen=True)
-class DpState:
-    """DP node: current tracked height and the step that led here (None at start)."""
-
-    height: int
-    previous: Optional[StepVector]
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of a family's walks indexed by semilength 0..N.
-
-    For hyperplane-intersection counts (j > 0) the spec field holds the
-    underlying A/D family and j records how many extra coordinates are pinned.
-    """
-
-    spec: LanguageSpec
-    values: tuple[int, ...]
-    j: int = 0
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
-            raise ValueError("a count table must start with the empty walk (value 1 at n=0)")
-        if any(v < 0 for v in self.values):
-            raise ValueError("counts cannot be negative")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
 
 
 def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
@@ -122,6 +91,8 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     touches all candidates, exactly like enumerate_words, without building
     word objects, and holds O(CENSUS_CHUNK) of them in memory.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return {lid: 1 for lid in "ABCDEF"}
     size = 1 << (r + 1)
@@ -161,109 +132,85 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     return counts
 
 
-def _forbidden_partner(pattern: Optional[PatternKind], mask: int, full: int) -> Optional[int]:
-    """Mask of the previous step that would forbid taking `mask` next."""
-    if pattern is PatternKind.BACKTRACK:
-        return mask ^ full
-    if pattern is PatternKind.REPEAT:
-        return mask
-    return None
+def _walk_layers(
+    r: int,
+    j: int,
+    n: int,
+    halfspace: bool,
+    pattern: Optional[PatternKind] = None,
+    first: Optional[int] = None,
+) -> int:
+    """Walks of length 2n whose last j+1 coordinates end at zero.
 
-
-def _dp_layers(spec: LanguageSpec, n: int, first: Optional[StepVector]) -> int:
-    """Shared DP engine over (height, previous-step) states.
-
-    Layers map height -> per-previous-step count vector.  Each transition into
-    step mask s is legal from every previous step except its forbidden partner,
-    so a row total minus one entry gives the inflow in O(1) big-int operations
-    per (height, step) pair.  Exact arbitrary-precision integers throughout.
+    The one DP engine behind every step-by-step count.  A layer maps the
+    heights of the j+1 tracked coordinates to the walks' counts per last step
+    mask.  Step mask s moves the heights by the signs of its top j+1 bits.
+    The inflow into s is the row total minus the entry of s's forbidden
+    partner: mask ^ full for backtracking, mask for repeats.  With no pattern
+    the partner is a trailing slot of the row that stays 0.  `first`, if
+    given, is the only allowed first step mask.  Exact integers throughout.
     """
-    r = spec.r
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return 1
     size = 1 << (r + 1)
-    full = size - 1
-    halfspace = spec.halfspace
-    pattern = spec.pattern
-
-    sign = [(-1 if mask >> r & 1 else 1) for mask in range(size)]
-
-    layers: dict[int, list[int]] = {}
-    if first is None:
-        for mask in range(size):
-            h = sign[mask]
-            if halfspace and h < 0:
-                continue
-            layers.setdefault(h, [0] * size)[mask] = 1
+    shift = r - j
+    if pattern is PatternKind.BACKTRACK:
+        partner = [mask ^ (size - 1) for mask in range(size)]
+    elif pattern is PatternKind.REPEAT:
+        partner = list(range(size))
     else:
-        if first.dimension != r + 1:
-            raise DimensionMismatch(
-                f"first step has dimension {first.dimension}, language {spec} expects {r + 1}"
-            )
-        h = first.tracked
-        if halfspace and h < 0:
-            return 0
-        layers.setdefault(h, [0] * size)[first.mask] = 1
+        partner = [size] * size
+    # The masks whose top j+1 bits read c form one contiguous block, and they
+    # all move the tracked heights by the same signs.
+    moves = [
+        (
+            tuple(-1 if c >> k & 1 else 1 for k in range(j + 1)),
+            [(mask, partner[mask]) for mask in range(c << shift, (c + 1) << shift)],
+        )
+        for c in range(1 << (j + 1))
+    ]
 
-    for done in range(1, 2 * n):
-        remaining = 2 * n - done
-        new_layers: dict[int, list[int]] = {}
-        for h, counts in layers.items():
-            row_total = sum(counts)
-            if row_total == 0:
+    layers: dict[tuple[int, ...], list[int]] = {}
+    for mask in range(size) if first is None else (first,):
+        heights = moves[mask >> shift][0]
+        if not (halfspace and min(heights) < 0):
+            layers.setdefault(heights, [0] * (size + 1))[mask] = 1
+
+    for left in range(2 * n - 2, -1, -1):
+        new_layers: dict[tuple[int, ...], list[int]] = {}
+        for heights, counts in layers.items():
+            total = sum(counts)
+            if not total:
                 continue
-            for mask in range(size):
-                h2 = h + sign[mask]
-                if halfspace and h2 < 0:
-                    continue
-                if abs(h2) > remaining - 1:
-                    continue  # cannot return to height 0 in time
-                partner = _forbidden_partner(pattern, mask, full)
-                inflow = row_total if partner is None else row_total - counts[partner]
-                if inflow:
-                    row = new_layers.get(h2)
-                    if row is None:
-                        row = new_layers[h2] = [0] * size
-                    row[mask] += inflow
+            for signs, block in moves:
+                key = tuple([h + d for h, d in zip(heights, signs)])
+                if (halfspace and min(key) < 0) or max(map(abs, key)) > left:
+                    continue  # below the half-space, or too far to return in time
+                row = new_layers.get(key)
+                if row is None:
+                    row = new_layers[key] = [0] * (size + 1)
+                for mask, p in block:
+                    row[mask] += total - counts[p]
         layers = new_layers
-    return sum(layers.get(0, ()))
+    return sum(layers.get((0,) * (j + 1), ()))
 
 
 def count_dp(spec: LanguageSpec, n: int) -> int:
     """Number of length-2n members, by DP over (height, previous step)."""
-    if n == 0:
-        return 1
-    return _dp_layers(spec, n, None)
+    return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern)
 
 
 def count_dp_first_step(spec: LanguageSpec, n: int, first: StepVector) -> int:
     """Number of length-2n members whose first step is `first`."""
     if n < 1:
         raise ValueError("first-step counts need n >= 1")
-    return _dp_layers(spec, n, first)
-
-
-def count_dp_reference(spec: LanguageSpec, n: int) -> int:
-    """Straightforward DpState-keyed DP, kept as a check on the fast engine."""
-    if n == 0:
-        return 1
-    alphabet = step_alphabet(spec.r)
-    pattern = spec.pattern
-    states: dict[DpState, int] = {DpState(0, None): 1}
-    for _ in range(2 * n):
-        new_states: dict[DpState, int] = {}
-        for state, count in states.items():
-            for step in alphabet:
-                if state.previous is not None and pattern is not None:
-                    if pattern is PatternKind.BACKTRACK and step == state.previous.negate():
-                        continue
-                    if pattern is PatternKind.REPEAT and step == state.previous:
-                        continue
-                h = state.height + step.tracked
-                if spec.halfspace and h < 0:
-                    continue
-                key = DpState(h, step)
-                new_states[key] = new_states.get(key, 0) + count
-        states = new_states
-    return sum(c for s, c in states.items() if s.height == 0)
+    if first.dimension != spec.r + 1:
+        raise DimensionMismatch(
+            f"first step has dimension {first.dimension}, language {spec} expects {spec.r + 1}"
+        )
+    return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern, first.mask)
 
 
 #: Default cap on (states x transitions x steps) work for the multi-height DP.
@@ -276,31 +223,16 @@ def count_dp_multi(
     """Walks of length 2n ending with the last j+1 coordinates all zero.
 
     With halfspace=True those coordinates must additionally stay nonnegative
-    throughout.  Counted by DP over the vector of j+1 tracked heights; the
-    r-j untracked coordinates contribute a free factor 2^(r-j) per step.
+    throughout.  Counted step by step over all 2^(r+1) steps by the DP over
+    the vector of j+1 tracked heights.
     """
     if not 0 <= j <= r:
         raise ValueError(f"need 0 <= j <= r, got j={j}, r={r}")
-    if n == 0:
-        return 1
-    work = (2 * n + 1) ** (j + 1) * 2 ** (j + 1) * 2 * n
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    work = (2 * n + 1) ** (j + 1) * 2 ** (r + 1) * 2 * n
     if work > budget:
         raise BudgetExceeded(
             f"multi-height DP needs roughly {work} state transitions, budget is {budget}"
         )
-    combos = list(itertools.product((1, -1), repeat=j + 1))
-    states: dict[tuple[int, ...], int] = {(0,) * (j + 1): 1}
-    for done in range(1, 2 * n + 1):
-        remaining = 2 * n - done
-        new_states: dict[tuple[int, ...], int] = {}
-        for heights, count in states.items():
-            for combo in combos:
-                new_heights = tuple(h + d for h, d in zip(heights, combo))
-                if halfspace and any(h < 0 for h in new_heights):
-                    continue
-                if any(abs(h) > remaining for h in new_heights):
-                    continue
-                new_states[new_heights] = new_states.get(new_heights, 0) + count
-        states = new_states
-    tracked_walks = states.get((0,) * (j + 1), 0)
-    return tracked_walks * 2 ** (2 * n * (r - j))
+    return _walk_layers(r, j, n, halfspace)

@@ -19,7 +19,6 @@ from hyperwalks import (
     accepts_halfspace,
     accepts_hyperplane,
     avoids_pattern,
-    flip_coordinate,
     parse_word,
     recognize,
     step_alphabet,
@@ -93,11 +92,11 @@ def test_membership_invariant_under_coordinate_flips(r, max_len):
     # all six languages; flipping the tracked coordinate preserves A, B, C.
     for w in words_up_to(r, max_len):
         for i in range(1, r + 1):
-            flipped = Word(tuple(flip_coordinate(s, i) for s in w))
+            flipped = Word(tuple(s.flip(i) for s in w))
             for lid in "ABCDEF":
                 spec = LanguageSpec(lid, r)
                 assert recognize(spec, w) == recognize(spec, flipped)
-        mirrored = Word(tuple(flip_coordinate(s, r + 1) for s in w))
+        mirrored = Word(tuple(s.flip(r + 1) for s in w))
         for lid in "ABC":
             spec = LanguageSpec(lid, r)
             assert recognize(spec, w) == recognize(spec, mirrored)

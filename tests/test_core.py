@@ -8,11 +8,7 @@ from hyperwalks import (
     StepFormatError,
     StepVector,
     Word,
-    flip_coordinate,
-    format_step,
-    format_word,
     height_profile,
-    negate_step,
     parse_step,
     parse_word,
     step_alphabet,
@@ -39,43 +35,41 @@ def test_parse_step_rejects_wrong_length():
 
 
 def test_format_step_examples():
-    assert format_step(StepVector((1, 1))) == "++"
-    assert format_step(StepVector((-1, -1, 1))) == "--+"
+    assert StepVector((1, 1)).text() == "++"
+    assert StepVector((-1, -1, 1)).text() == "--+"
 
 
 @pytest.mark.parametrize("r", range(5))
 def test_round_trip_exhaustive(r):
     for s in step_alphabet(r):
-        assert parse_step(format_step(s), r) == s
+        assert parse_step(s.text(), r) == s
     for chars in itertools.product("+-", repeat=r + 1):
         text = "".join(chars)
-        assert format_step(parse_step(text, r)) == text
+        assert parse_step(text, r).text() == text
 
 
 def test_negate_examples_and_involution():
-    assert negate_step(StepVector((1, -1))) == StepVector((-1, 1))
-    assert negate_step(StepVector((1, 1, 1))) == StepVector((-1, -1, -1))
+    assert StepVector((1, -1)).negate() == StepVector((-1, 1))
+    assert StepVector((1, 1, 1)).negate() == StepVector((-1, -1, -1))
     for s in step_alphabet(3):
-        assert negate_step(negate_step(s)) == s
+        assert s.negate().negate() == s
 
 
 def test_flip_coordinate():
-    assert flip_coordinate(StepVector((1, 1)), 1) == StepVector((-1, 1))
-    assert flip_coordinate(StepVector((1, -1, 1)), 3) == StepVector((1, -1, -1))
+    assert StepVector((1, 1)).flip(1) == StepVector((-1, 1))
+    assert StepVector((1, -1, 1)).flip(3) == StepVector((1, -1, -1))
     with pytest.raises(IndexError):
-        flip_coordinate(StepVector((1, 1)), 3)
+        StepVector((1, 1)).flip(3)
     with pytest.raises(IndexError):
-        flip_coordinate(StepVector((1, 1)), 0)
+        StepVector((1, 1)).flip(0)
 
 
 def test_flip_involution_and_commutation():
     for s in step_alphabet(2):
         for i in range(1, 4):
-            assert flip_coordinate(flip_coordinate(s, i), i) == s
+            assert s.flip(i).flip(i) == s
             for k in range(1, 4):
-                assert flip_coordinate(flip_coordinate(s, i), k) == flip_coordinate(
-                    flip_coordinate(s, k), i
-                )
+                assert s.flip(i).flip(k) == s.flip(k).flip(i)
 
 
 def test_height_profile():
@@ -93,9 +87,9 @@ def test_height_profile_ends_at_zero_iff_balanced():
 
 def test_word_round_trip():
     text = "++,--,+-"
-    assert format_word(parse_word(text, 1)) == text
+    assert parse_word(text, 1).text() == text
     assert parse_word("", 2) == Word(())
-    assert format_word(Word(())) == ""
+    assert Word(()).text() == ""
 
 
 def test_word_rejects_mixed_dimensions():

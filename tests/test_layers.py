@@ -1,0 +1,52 @@
+"""Static checks that the counting routes stay independent of each other.
+
+A route that imports the routes it is checked against could start calling
+them; these tests read each module's imports without running it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hyperwalks
+
+PACKAGE = Path(hyperwalks.__file__).parent
+
+
+def imported_modules(module: str) -> set[str]:
+    """Names of the hyperwalks modules that `module` imports, at any depth."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("hyperwalks."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "hyperwalks":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("hyperwalks."):
+                    found.add(alias.name.split(".")[1])
+    return found
+
+
+@pytest.mark.parametrize(
+    "module,forbidden",
+    [
+        ("formulas", {"oracle", "automata", "bijection"}),
+        ("series", {"oracle", "automata", "bijection"}),
+        ("oracle", {"formulas", "series", "bijection"}),
+    ],
+)
+def test_route_does_not_import_the_routes_it_is_checked_against(module, forbidden):
+    assert imported_modules(module) & forbidden == set()
+
+
+def test_import_scan_sees_relative_imports():
+    assert {"core", "automata"} <= imported_modules("oracle")
+    assert "formulas" in imported_modules("series")

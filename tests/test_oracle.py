@@ -1,4 +1,6 @@
 import tracemalloc
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -7,6 +9,7 @@ from hyperwalks import (
     BudgetExceeded,
     CountTable,
     LanguageSpec,
+    PatternKind,
     StepVector,
     Word,
     count_dp,
@@ -17,7 +20,39 @@ from hyperwalks import (
     parse_word,
     step_alphabet,
 )
-from hyperwalks.oracle import count_dp_reference
+
+
+@dataclass(frozen=True)
+class DpState:
+    """DP node: current tracked height and the step that led here (None at start)."""
+
+    height: int
+    previous: Optional[StepVector]
+
+
+def count_dp_reference(spec: LanguageSpec, n: int) -> int:
+    """Straightforward DpState-keyed DP, kept as a check on the fast engine."""
+    if n == 0:
+        return 1
+    alphabet = step_alphabet(spec.r)
+    pattern = spec.pattern
+    states: dict[DpState, int] = {DpState(0, None): 1}
+    for _ in range(2 * n):
+        new_states: dict[DpState, int] = {}
+        for state, count in states.items():
+            for step in alphabet:
+                if state.previous is not None and pattern is not None:
+                    if pattern is PatternKind.BACKTRACK and step == state.previous.negate():
+                        continue
+                    if pattern is PatternKind.REPEAT and step == state.previous:
+                        continue
+                h = state.height + step.tracked
+                if spec.halfspace and h < 0:
+                    continue
+                key = DpState(h, step)
+                new_states[key] = new_states.get(key, 0) + count
+        states = new_states
+    return sum(c for s, c in states.items() if s.height == 0)
 
 
 def test_enumerate_words_counts():
@@ -174,6 +209,22 @@ def test_count_dp_multi_j0_matches_single(r):
 def test_count_dp_multi_budget_refusal():
     with pytest.raises(BudgetExceeded):
         count_dp_multi(3, 3, 50, False, budget=10_000)
+
+
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda n: count_dp(LanguageSpec("A", 1), n),
+        lambda n: count_dp_multi(1, 0, n, False),
+        lambda n: count_dp_multi(2, 1, n, True),
+        lambda n: naive_census(1, n),
+    ],
+    ids=["count_dp", "count_dp_multi_j0", "count_dp_multi_j1", "naive_census"],
+)
+@pytest.mark.parametrize("n", [-1, -1000])
+def test_negative_n_is_rejected(count, n):
+    with pytest.raises(ValueError, match="nonnegative"):
+        count(n)
 
 
 def test_count_dp_multi_validates_j():

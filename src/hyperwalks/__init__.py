@@ -51,16 +51,7 @@ from .formulas import (
     narayana,
     recurrence_seq,
 )
-from .series import (
-    PowerSeries,
-    asymptotic_form,
-    asymptotic_ratio,
-    gf_series,
-    ps_add,
-    ps_div,
-    ps_mul,
-    ps_sqrt,
-)
+from .series import asymptotic_form, asymptotic_ratio, gf_series
 from .bijection import (
     BijectionDomainError,
     DiagonalPath,
@@ -86,7 +77,6 @@ __all__ = [
     "HypergeometricSpec",
     "LanguageSpec",
     "PatternKind",
-    "PowerSeries",
     "SingularParameterError",
     "StepFormatError",
     "StepVector",
@@ -121,10 +111,6 @@ __all__ = [
     "parse_word",
     "phi",
     "phi_inverse",
-    "ps_add",
-    "ps_div",
-    "ps_mul",
-    "ps_sqrt",
     "recognize",
     "recurrence_seq",
     "run_check",

@@ -58,7 +58,7 @@ def _dp(spec, ns, budget):
 
 
 def _series(spec, ns, budget):
-    coefficients = series.gf_series(spec, ns[-1]).coefficients
+    coefficients = series.gf_series(spec, ns[-1])
     for n in ns:
         if coefficients[n].denominator != 1:
             raise ConsistencyError(f"series coefficient {n} of {spec} is {coefficients[n]}")
@@ -86,7 +86,7 @@ ROUTES: dict[str, Route] = {
     ),
     "recurrence": Route(_recurrence),
     "dp": Route(_dp, lambda spec, n, budget: n <= 16),
-    "series": Route(_series, lambda spec, n, budget: n <= 100),
+    "series": Route(_series),
     "naive": Route(
         _naive, lambda spec, n, budget: n >= 1 and (1 << (spec.r + 1)) ** (2 * n) <= budget
     ),

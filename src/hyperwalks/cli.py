@@ -137,7 +137,10 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             if args.json == "-":
                 print(report.to_json())
             elif args.json:
-                Path(args.json).write_text(report.to_json() + "\n")
+                try:
+                    Path(args.json).write_text(report.to_json() + "\n")
+                except OSError as exc:
+                    raise UsageError(f"cannot write --json {args.json}: {exc.strerror}") from None
             return 0 if report.ok else 1
         if args.command == "oeis":
             bf = oeis_fetch(args.sequence_id, cache_dir=args.cache_dir)

@@ -326,6 +326,8 @@ def a_multi_recurrence(r: int, j: int, n_max: int) -> CountTable:
     """Same sequence via n^(j+1) t_n = 2^(2r-j+1) (2n-1)^(j+1) t_(n-1)."""
     if not 0 <= j <= r:
         raise ValueError(f"need 0 <= j <= r, got j={j}, r={r}")
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     values = [1]
     for n in range(1, n_max + 1):
         rhs = 2 ** (2 * r - j + 1) * (2 * n - 1) ** (j + 1) * values[-1]

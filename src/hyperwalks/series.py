@@ -1,11 +1,11 @@
-"""Exact truncated power series and singularity-driven asymptotics.
+"""Exact generating-function expansion and singularity-driven asymptotics.
 
 The generating function of each family is algebraic; this module expands the
-published closed forms with exact rational arithmetic (add, multiply, divide,
-square root by Newton iteration) and packages each family's dominant
-singularity, exponent, and constant so the asymptotic estimate
-count_n ~ C rho^(-n) n^(alpha-1) / Gamma(alpha) can be evaluated in log space
-at any n.
+published closed forms in exact rational arithmetic, one coefficient at a time
+from the first-order differential equation each product of square roots
+satisfies, and packages each family's dominant singularity, exponent, and
+constant so the asymptotic estimate count_n ~ C rho^(-n) n^(alpha-1) / Gamma(alpha)
+can be evaluated in log space at any n.
 """
 
 from __future__ import annotations
@@ -13,130 +13,66 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .core import ConsistencyError, LanguageSpec
-from .formulas import recurrence_seq
 
-Coefficient = Union[int, Fraction]
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated series with exact rational coefficients 0..N."""
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coefficients:
-            raise ValueError("a power series stores at least the constant term")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-
-    @classmethod
-    def from_coefficients(cls, coeffs: Sequence[Coefficient], order: Optional[int] = None) -> "PowerSeries":
-        """Build a series; pad with zeros / truncate to the requested order."""
-        values = [Fraction(c) for c in coeffs]
-        if order is not None:
-            values = values[: order + 1] + [Fraction(0)] * (order + 1 - len(values))
-        return cls(tuple(values))
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coefficients[n]
+HALF = Fraction(1, 2)
 
 
-def ps_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries(tuple(a[i] + b[i] for i in range(n + 1)))
+def _times_one_minus(poly: list, c: int) -> list:
+    """poly(x) * (1 - c x)."""
+    return [a - c * b for a, b in zip(poly + [0], [0] + poly)]
 
 
-def ps_sub(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    return PowerSeries(tuple(a[i] - b[i] for i in range(n + 1)))
+def _expand(factors: Sequence[tuple[int, Fraction]], N: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..N of y = prod (1 - c x)^alpha over the (c, alpha) factors.
 
-
-def ps_scale(a: PowerSeries, c: Coefficient) -> PowerSeries:
-    c = Fraction(c)
-    return PowerSeries(tuple(c * x for x in a.coefficients))
-
-
-def ps_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    n = min(a.order, b.order)
-    out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        ai = a[i]
-        if ai:
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return PowerSeries(tuple(out))
-
-
-def ps_div(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Series quotient; requires a nonzero constant term in the divisor."""
-    if b[0] == 0:
-        raise ValueError("series division needs a divisor with nonzero constant term")
-    n = min(a.order, b.order)
-    out: list[Fraction] = []
-    for i in range(n + 1):
-        s = a[i]
-        for k in range(1, i + 1):
-            if b[k]:
-                s -= b[k] * out[i - k]
-        out.append(s / b[0])
-    return PowerSeries(tuple(out))
-
-
-def ps_sqrt(a: PowerSeries) -> PowerSeries:
-    """The unique square root with constant term +1, by Newton iteration.
-
-    Each round doubles the number of correct coefficients via
-    y <- (y + a/y) / 2 until the truncation order of `a` is reached.
+    y satisfies Q y' = R y with Q = prod (1 - c_i x) and
+    R = sum alpha_i (-c_i) prod_(j != i) (1 - c_j x).  The coefficient of x^n
+    reads sum_k q_k (n+1-k) y_(n+1-k) = sum_k r_k y_(n-k), and q_0 = 1, so
+    each y_(n+1) follows from the few before it.
     """
-    if a[0] != 1:
-        raise ValueError("series square root needs constant term exactly 1")
-    n = a.order
-    y = PowerSeries((Fraction(1),))
-    correct = 1
-    while correct < n + 1:
-        prec = min(2 * correct, n + 1)
-        yp = _polynomial(y.coefficients, prec - 1)
-        ap = PowerSeries(a.coefficients[:prec])
-        y = ps_scale(ps_add(yp, ps_div(ap, yp)), Fraction(1, 2))
-        correct = prec
-    return y
+    q, r = [1], [Fraction(0)]
+    for c, alpha in factors:  # the product rule, one factor at a time
+        r = [a - alpha * c * b for a, b in zip(_times_one_minus(r, c), q + [0])]
+        q = _times_one_minus(q, c)
+    y = [Fraction(1)]
+    for n in range(N):
+        total = sum(r[k] * y[n - k] for k in range(min(len(r), n + 1)))
+        total -= sum(q[k] * (n + 1 - k) * y[n + 1 - k] for k in range(1, min(len(q), n + 2)))
+        y.append(total / (n + 1))
+    return tuple(y)
 
 
-def _shift_down(a: PowerSeries, scale: int) -> PowerSeries:
-    """Divide by (scale * x) a numerator whose constant term must vanish; the
-    quotient's constant term must be 1, the empty walk."""
-    if a[0] != 0:
+def _shift_down(root: tuple[Fraction, ...], linear: int, scale: int) -> tuple[Fraction, ...]:
+    """(1 - linear x - root) / (scale x): the numerator's constant term must
+    vanish, and the quotient's constant term must be 1, the empty walk."""
+    numerator = [-c for c in root]
+    numerator[0] += 1
+    numerator[1] -= linear
+    if numerator[0] != 0:
         raise ConsistencyError(
-            f"cannot divide by x: constant term is {a[0]}, expected 0"
+            f"cannot divide by x: constant term is {numerator[0]}, expected 0"
         )
-    result = PowerSeries(tuple(c / scale for c in a.coefficients[1:]))
+    result = tuple(c / scale for c in numerator[1:])
     if result[0] != 1:
         raise ConsistencyError(f"constant term after dividing by x is {result[0]}, expected 1")
     return result
 
 
-def _polynomial(coeffs: Sequence[Coefficient], order: int) -> PowerSeries:
-    return PowerSeries.from_coefficients(coeffs, order)
+def _minus_one(series: list[Fraction]) -> tuple[Fraction, ...]:
+    return (series[0] - 1, *series[1:])
 
 
-def gf_series(spec: LanguageSpec, N: int) -> PowerSeries:
-    """Truncated expansion of the family's closed-form generating function.
+def gf_series(spec: LanguageSpec, N: int) -> tuple[Fraction, ...]:
+    """Coefficients 0..N of the family's closed-form generating function.
 
-    The half-space forms carry a removable singularity at x=0: the closed form
-    is (numerator)/(const * x), so the numerator is expanded one order higher,
-    its vanishing constant term checked, and the result shifted down.  After
-    the shift the constant coefficient equals 1, the empty walk.
+    Each closed form is a constant plus a rational multiple of a product of
+    square roots of (1 - c x), expanded by `_expand`.  The half-space forms
+    carry a removable singularity at x=0: the closed form is
+    (1 - linear x - root)/(scale x), so the root is expanded one order higher
+    and shifted down by `_shift_down`.
     """
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -144,38 +80,27 @@ def gf_series(spec: LanguageSpec, N: int) -> PowerSeries:
     lid = spec.id
     big = 2 ** (2 * r + 2)
     if lid == "A":
-        radicand = _polynomial([1, -big], N)
-        return ps_div(_polynomial([1], N), ps_sqrt(radicand))
+        return _expand([(big, -HALF)], N)
     if lid == "D":
-        radicand = _polynomial([1, -big], N + 1)
-        numerator = ps_sub(_polynomial([1], N + 1), ps_sqrt(radicand))
-        return _shift_down(numerator, big // 2)
+        return _shift_down(_expand([(big, HALF)], N + 1), 0, big // 2)
     if r == 0:
-        if lid == "C":
-            return ps_div(_polynomial([1, 1], N), _polynomial([1, -1], N))
-        if lid == "F":
-            return ps_div(_polynomial([1], N), _polynomial([1, -1], N))
-        return _polynomial([1], N)  # B and E: only the empty walk
+        if lid in "BE":  # only the empty walk
+            return _expand([], N)
+        f = _expand([(1, Fraction(-1))], N)  # 1/(1 - x)
+        # C = (1 + x)/(1 - x) = 2F - 1
+        return f if lid == "F" else _minus_one([2 * c for c in f])
     q = 2 ** r
     m = 2 * q - 1  # 2^(r+1) - 1
-    one_minus_x = [1, -1]
-    one_minus_m2x = [1, -m * m]
-    if lid == "B":
-        return ps_sqrt(ps_div(_polynomial(one_minus_x, N), _polynomial(one_minus_m2x, N)))
-    if lid == "C":
-        sa = ps_sqrt(_polynomial(one_minus_x, N))
-        sb = ps_sqrt(_polynomial(one_minus_m2x, N))
-        return ps_div(ps_sub(ps_scale(sa, q), sb), ps_scale(sb, q - 1))
-    # E and F
-    product = ps_mul(_polynomial(one_minus_m2x, N + 1), _polynomial(one_minus_x, N + 1))
-    root = ps_sqrt(product)
+    if lid in "BC":
+        b = _expand([(1, HALF), (m * m, -HALF)], N)
+        if lid == "B":
+            return b
+        # C = (q sqrt(1-x) - sqrt(1-m^2 x)) / ((q-1) sqrt(1-m^2 x)) = (q B - 1)/(q-1)
+        return tuple(c / (q - 1) for c in _minus_one([q * c for c in b]))
+    root = _expand([(1, HALF), (m * m, HALF)], N + 1)
     if lid == "E":
-        numerator = ps_sub(_polynomial([1, -1], N + 1), root)
-        scale = 2 ** (r + 1) * (q - 1)
-    else:
-        numerator = ps_sub(_polynomial([1, -m], N + 1), root)
-        scale = 2 * (q - 1) ** 2
-    return _shift_down(numerator, scale)
+        return _shift_down(root, 1, 2 ** (r + 1) * (q - 1))
+    return _shift_down(root, m, 2 * (q - 1) ** 2)
 
 
 @dataclass(frozen=True)
@@ -246,16 +171,10 @@ def asymptotic_form(spec: LanguageSpec) -> AsymptoticForm:
     return AsymptoticForm(rho, Fraction(-1, 2), Fraction(-m, 2 * (q - 1) ** 2), radicand)
 
 
-def asymptotic_ratio(spec: LanguageSpec, n: int, count: Optional[int] = None) -> float:
-    """Exact count divided by the asymptotic estimate at n, in log space.
-
-    Pass `count` to reuse a precomputed table; otherwise the recurrence is run
-    up to n.
-    """
+def asymptotic_ratio(spec: LanguageSpec, n: int, count: int) -> float:
+    """Exact count at n divided by the asymptotic estimate at n, in log space."""
     if n < 1:
         raise ValueError("asymptotic ratio needs n >= 1")
-    if count is None:
-        count = recurrence_seq(spec, n).values[n]
     if count <= 0:
         raise ValueError(f"count for {spec} at n={n} is not positive")
     form = asymptotic_form(spec)

@@ -123,7 +123,7 @@ def test_criterion_04_generating_function_coefficients():
     specs = [LanguageSpec(lid, r) for lid in "ABCDEF" for r in (1, 2, 3)]
     specs += [LanguageSpec(lid, 0) for lid in "ABCDEF"]
     for spec in specs:
-        coefficients = gf_series(spec, 100).coefficients
+        coefficients = gf_series(spec, 100)
         table = recurrence_seq(spec, 100).values
         for n in range(101):
             if coefficients[n].denominator != 1 or coefficients[n] != table[n]:

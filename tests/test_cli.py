@@ -11,7 +11,7 @@ import hyperwalks
 import hyperwalks.formulas as formulas_module
 import hyperwalks.oracle as oracle_module
 import hyperwalks.series as series_module
-from hyperwalks import ConsistencyError, CountTable, PowerSeries
+from hyperwalks import ConsistencyError, CountTable
 from hyperwalks.cli import main
 from hyperwalks.checks import ROUTES, run_check
 from hyperwalks.formulas import recurrence_spec
@@ -175,12 +175,20 @@ def test_check_rejects_bad_input(capsys, flag, value):
     assert flag in err
 
 
+def test_check_unwritable_json_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, "check", "--n-max", "2", "--json", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert str(path) in err
+
+
 def _plus_one_last(table):
     return CountTable(table.spec, table.values[:-1] + (table.values[-1] + 1,))
 
 
-def _plus_one_last_coefficient(power_series):
-    return PowerSeries(power_series.coefficients[:-1] + (power_series.coefficients[-1] + 1,))
+def _plus_one_last_coefficient(coefficients):
+    return coefficients[:-1] + (coefficients[-1] + 1,)
 
 
 # Each route's module attribute and a corruption of what it returns.

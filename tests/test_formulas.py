@@ -198,6 +198,8 @@ def test_a_multi_validates_arguments():
         a_multi(1, 2, 3)
     with pytest.raises(ValueError):
         a_multi(2, 1, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        a_multi_recurrence(1, 0, -1)
 
 
 def test_cross_ratio_examples():

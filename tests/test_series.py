@@ -7,97 +7,67 @@ from hypothesis import strategies as st
 
 from hyperwalks import (
     LanguageSpec,
-    PowerSeries,
     asymptotic_form,
     asymptotic_ratio,
     gf_series,
-    ps_add,
-    ps_div,
-    ps_mul,
-    ps_sqrt,
     recurrence_seq,
 )
-from hyperwalks.series import ps_scale, ps_sub
+from hyperwalks.series import _expand
 
 
-def poly(*coeffs, order=None):
-    return PowerSeries.from_coefficients(coeffs, order)
+def schoolbook_product(a, b):
+    """The product of two truncated series, cut to the shorter one's order."""
+    order = min(len(a), len(b))
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(order)]
 
 
-def test_ps_sqrt_of_catalan_radicand():
-    s = ps_sqrt(poly(1, -4, order=5))
-    assert s.coefficients[:4] == (Fraction(1), Fraction(-2), Fraction(-2), Fraction(-4))
-    assert ps_mul(s, s).coefficients == poly(1, -4, order=5).coefficients
-
-
-def test_ps_sqrt_square_round_trip():
-    s = poly(1, -10, 9, order=8)
-    root = ps_sqrt(s)
-    assert ps_mul(root, root).coefficients == s.coefficients
-
-
-def test_ps_div_geometric():
-    g = ps_div(poly(1, order=6), poly(1, -1, order=6))
-    assert all(c == 1 for c in g.coefficients)
-
-
-def test_ps_add_sub_scale():
-    a = poly(1, 2, 3)
-    b = poly(1, 1, 1)
-    assert ps_add(a, b).coefficients == (2, 3, 4)
-    assert ps_sub(a, b).coefficients == (0, 1, 2)
-    assert ps_scale(a, Fraction(1, 2)).coefficients == (Fraction(1, 2), 1, Fraction(3, 2))
-
-
-def test_ps_preconditions():
-    with pytest.raises(ValueError):
-        ps_div(poly(1, 1), poly(0, 1))
-    with pytest.raises(ValueError):
-        ps_sqrt(poly(2, 1))
-    with pytest.raises(ValueError):
-        PowerSeries(())
+def power_of_one_minus(c, power, order):
+    """Coefficients 0..order of (1 - c x)^power for power 1, -1 or -2."""
+    if power == 1:
+        return [1, -c] + [0] * (order - 1)
+    if power == -1:
+        return [c**n for n in range(order + 1)]
+    return [(n + 1) * c**n for n in range(order + 1)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=10))
-def test_ps_sqrt_property(tail):
-    s = PowerSeries.from_coefficients([1] + tail)
-    root = ps_sqrt(s)
-    assert root[0] == 1
-    assert ps_mul(root, root).coefficients == s.coefficients
-
-
-@settings(max_examples=40, deadline=None)
 @given(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8),
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=8),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-20, max_value=20),
+            st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(-1)]),
+        ),
+        max_size=3,
+    )
 )
-def test_ps_div_inverts_mul(a_coeffs, b_coeffs):
-    if b_coeffs[0] == 0:
-        b_coeffs[0] = 1
-    order = min(len(a_coeffs), len(b_coeffs)) - 1
-    a = PowerSeries.from_coefficients(a_coeffs, order)
-    b = PowerSeries.from_coefficients(b_coeffs, order)
-    assert ps_div(ps_mul(a, b), b).coefficients == a.coefficients
+def test_expansion_squares_to_its_product(factors):
+    order = 30
+    y = _expand(factors, order)
+    assert len(y) == order + 1
+    target = [1] + [0] * order
+    for c, alpha in factors:
+        target = schoolbook_product(target, power_of_one_minus(c, int(2 * alpha), order))
+    assert schoolbook_product(y, y) == target
 
 
 def test_gf_series_examples():
-    assert [int(c) for c in gf_series(LanguageSpec("E", 1), 3).coefficients] == [1, 2, 10, 58]
-    assert [int(c) for c in gf_series(LanguageSpec("A", 1), 2).coefficients] == [1, 8, 96]
-    assert [int(c) for c in gf_series(LanguageSpec("C", 0), 3).coefficients] == [1, 2, 2, 2]
-    assert [int(c) for c in gf_series(LanguageSpec("F", 0), 3).coefficients] == [1, 1, 1, 1]
-    assert [int(c) for c in gf_series(LanguageSpec("B", 0), 3).coefficients] == [1, 0, 0, 0]
+    assert [int(c) for c in gf_series(LanguageSpec("E", 1), 3)] == [1, 2, 10, 58]
+    assert [int(c) for c in gf_series(LanguageSpec("A", 1), 2)] == [1, 8, 96]
+    assert [int(c) for c in gf_series(LanguageSpec("C", 0), 3)] == [1, 2, 2, 2]
+    assert [int(c) for c in gf_series(LanguageSpec("F", 0), 3)] == [1, 1, 1, 1]
+    assert [int(c) for c in gf_series(LanguageSpec("B", 0), 3)] == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("lid", "ABCDEF")
 @pytest.mark.parametrize("r", [0, 1, 2, 3])
 def test_gf_series_matches_recurrence(lid, r):
-    order = 30
-    coeffs = gf_series(LanguageSpec(lid, r), order).coefficients
-    table = recurrence_seq(LanguageSpec(lid, r), order).values
-    for n in range(order + 1):
-        assert coeffs[n].denominator == 1
-        assert coeffs[n] == table[n]
+    for order in (30, 1000):
+        coeffs = gf_series(LanguageSpec(lid, r), order)
+        table = recurrence_seq(LanguageSpec(lid, r), order).values
+        assert len(coeffs) == order + 1
+        for n in range(order + 1):
+            assert coeffs[n].denominator == 1
+            assert coeffs[n] == table[n]
 
 
 def test_asymptotic_form_examples():
@@ -128,16 +98,18 @@ def test_asymptotic_estimate_matches_direct_evaluation():
 
 
 def test_asymptotic_ratio_example():
-    ratio = asymptotic_ratio(LanguageSpec("B", 1), 2)
+    ratio = asymptotic_ratio(LanguageSpec("B", 1), 2, count=28)
     assert math.isclose(ratio, 28 / (27 * math.sqrt(4 / math.pi)), rel_tol=1e-12)
     assert abs(ratio - 0.919) < 1e-3
 
 
 def test_asymptotic_ratio_accepts_precomputed_count():
-    table = recurrence_seq(LanguageSpec("E", 1), 50).values
-    direct = asymptotic_ratio(LanguageSpec("E", 1), 50)
-    reused = asymptotic_ratio(LanguageSpec("E", 1), 50, count=table[50])
-    assert direct == reused
+    spec = LanguageSpec("E", 1)
+    count = recurrence_seq(spec, 50).values[50]
+    ratio = asymptotic_ratio(spec, 50, count=count)
+    assert math.isclose(ratio, count / asymptotic_form(spec).value(50), rel_tol=1e-12)
+    with pytest.raises(TypeError):
+        asymptotic_ratio(spec, 50)  # the count is the caller's, never recomputed here
 
 
 @pytest.mark.parametrize("lid", "BCEF")

@@ -13,7 +13,6 @@ from .core import (
     ConsistencyError,
     DimensionMismatch,
     BudgetExceeded,
-    CountTable,
     LanguageSpec,
     PatternKind,
     StepFormatError,
@@ -71,7 +70,6 @@ __all__ = [
     "BijectionDomainError",
     "BudgetExceeded",
     "ConsistencyError",
-    "CountTable",
     "DiagonalPath",
     "DimensionMismatch",
     "HypergeometricSpec",

@@ -9,8 +9,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import CountTable
-
 #: Environment variable overriding the b-file cache directory.
 CACHE_ENV_VAR = "HYPERWALKS_OEIS_CACHE"
 
@@ -78,9 +76,9 @@ def bfile_parse(text: str) -> BFile:
     return BFile(tuple(entries), tuple(comments))
 
 
-def bfile_emit(table: CountTable) -> str:
-    """Render a count table as b-file text with indices starting at 0."""
-    return "".join(f"{n} {value}\n" for n, value in enumerate(table.values))
+def bfile_emit(values: Sequence[int]) -> str:
+    """Render counts indexed by semilength as b-file text with indices starting at 0."""
+    return "".join(f"{n} {value}\n" for n, value in enumerate(values))
 
 
 def _fixture_text(sequence_id: str) -> Optional[str]:
@@ -102,83 +100,48 @@ def default_cache_dir() -> Optional[Path]:
 def oeis_fetch(sequence_id: str, cache_dir: Optional[Path] = None) -> BFile:
     """Return the b-file for an OEIS id from the cache or the bundled fixtures.
 
-    Lookup order: the cache directory, then the bundled fixtures (copied into
-    the cache when one is configured).  Nothing touches the network.
+    Lookup order: the cache directory, then the bundled fixtures.  The cache
+    is only read, never written, and nothing touches the network.
     """
     sequence_id = sequence_id.strip().upper()
     if not _ID_PATTERN.match(sequence_id):
         raise SequenceNotFound(f"{sequence_id!r} is not a valid OEIS id (expected A followed by 6 digits)")
     if cache_dir is None:
         cache_dir = default_cache_dir()
-    file_name = f"b{sequence_id[1:]}.txt"
-
     if cache_dir is not None:
-        cached = Path(cache_dir) / file_name
+        cached = Path(cache_dir) / f"b{sequence_id[1:]}.txt"
         if cached.is_file():
             return bfile_parse(cached.read_text())
-
     text = _fixture_text(sequence_id)
     if text is None:
         raise SequenceNotFound(f"no cached or bundled b-file for {sequence_id}")
-
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        (Path(cache_dir) / file_name).write_text(text)
     return bfile_parse(text)
 
 
 @dataclass(frozen=True)
 class SequenceComparison:
-    """Alignment of a b-file against an internally computed table."""
+    """A b-file compared entry by entry with internally computed values."""
 
     sequence_id: str
-    shift: Optional[int]  # b-file position of our n=1 term; None if unaligned
     compared: int
     mismatches: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.shift is not None and not self.mismatches and self.compared > 0
+        return not self.mismatches and self.compared > 0
 
 
 def compare_with_table(sequence_id: str, bf: BFile, values: Sequence[int]) -> SequenceComparison:
-    """Compare b-file entries with table values, aligning offsets automatically.
+    """Compare each b-file entry (n, value) with values[n], for 0 <= n < len(values).
 
-    Tables index by semilength with the empty walk at 0; b-files may start at
-    0 or 1.  The first b-file value is matched against the table's n=1 term
-    (falling back one position when the b-file leads with the n=0 term), and
-    the alignment shift is recorded.
+    Values are indexed by semilength with the empty walk at 0, and a b-file's
+    own index column says which n each of its entries is.
     """
-    if len(values) < 2 or not bf.entries:
-        return SequenceComparison(sequence_id, None, 0, ("nothing to compare",))
-    flat = bf.values()
-
-    def compare_at(shift):
-        mismatches = []
-        compared = 0
-        for offset in range(shift, len(flat)):
-            n = 1 + (offset - shift)
-            if n >= len(values):
-                break
+    compared = 0
+    mismatches = []
+    for n, value in bf.entries:
+        if 0 <= n < len(values):
             compared += 1
-            if flat[offset] != values[n]:
-                mismatches.append(
-                    f"{sequence_id} term {bf.entries[offset][0]} = {flat[offset]} "
-                    f"!= table n={n} value {values[n]}"
-                )
-        return compared, tuple(mismatches)
-
-    # A b-file may or may not lead with the empty-walk term; of the two
-    # candidate alignments of its head with our n=1 term, keep the better one.
-    candidates = [
-        c for c in (0, 1) if len(flat) > c and flat[c] == values[1]
-    ]
-    if not candidates:
-        return SequenceComparison(
-            sequence_id, None, 0,
-            (f"cannot align: b-file starts {flat[:3]}, table n=1 term is {values[1]}",),
-        )
-    results = {c: compare_at(c) for c in candidates}
-    shift = min(candidates, key=lambda c: (len(results[c][1]), c))
-    compared, mismatches = results[shift]
-    return SequenceComparison(sequence_id, shift, compared, mismatches)
+            if value != values[n]:
+                mismatches.append(f"{sequence_id} term {n} = {value} != table value {values[n]}")
+    return SequenceComparison(sequence_id, compared, tuple(mismatches))

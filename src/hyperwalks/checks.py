@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import ConsistencyError, LanguageSpec, StepVector, step_alphabet
 from . import formulas, oracle, series
@@ -49,7 +49,7 @@ def _hyper(spec, ns, budget):
 
 
 def _recurrence(spec, ns, budget):
-    table = formulas.recurrence_seq(spec, ns[-1]).values
+    table = formulas.recurrence_seq(spec, ns[-1])
     return [table[n] for n in ns]
 
 
@@ -60,7 +60,7 @@ def _dp(spec, ns, budget):
 def _series(spec, ns, budget):
     coefficients = series.gf_series(spec, ns[-1])
     for n in ns:
-        if coefficients[n].denominator != 1:
+        if coefficients[n].denominator != 1 or coefficients[n] < 0:
             raise ConsistencyError(f"series coefficient {n} of {spec} is {coefficients[n]}")
     return [coefficients[n].numerator for n in ns]
 
@@ -209,12 +209,12 @@ def run_ratios_suite(r_values: Sequence[int], n_max: int) -> list[CheckCell]:
         if r < 1:
             continue
         try:
-            report = cross_ratio_check(r, n_max)
+            violations = cross_ratio_check(r, n_max)
         except Exception as exc:
             cells.append(_error_cell("ratios", "B", r, 0, "ratio-check", exc))
             continue
         cells.append(
-            _cell("ratios", "B", r, n_max, "b-vs-c-and-e-vs-f", report.ok, report.violations)
+            _cell("ratios", "B", r, n_max, "b-vs-c-and-e-vs-f", not violations, violations)
         )
     return cells
 
@@ -272,7 +272,7 @@ def run_bijection_suite(n_max: int) -> list[CheckCell]:
         except Exception as exc:
             cells.append(_error_cell("bijection", "E", 1, n, "round-trip", exc))
     try:
-        table = formulas.recurrence_seq(LanguageSpec("E", 1), min(n_max, 10)).values
+        table = formulas.recurrence_seq(LanguageSpec("E", 1), min(n_max, 10))
         for n in range(1, min(n_max, 10) + 1):
             paths = count_E_double_prime(n)
             agree = 2 * paths == table[n]
@@ -287,28 +287,25 @@ def run_bijection_suite(n_max: int) -> list[CheckCell]:
     return cells
 
 
-def run_asymptotics_suite(
-    r_values: Sequence[int], schedule: Sequence[int] = ASYMPTOTIC_SCHEDULE
-) -> list[CheckCell]:
-    """Deviation |count/estimate - 1| must shrink along the schedule and end small."""
+def run_asymptotics_suite(r_values: Sequence[int]) -> list[CheckCell]:
+    """Deviation |count/estimate - 1| must shrink along ASYMPTOTIC_SCHEDULE and end small."""
     cells: list[CheckCell] = []
-    schedule = sorted(schedule)
     for r in r_values:
         if r not in (1, 2):
             continue
         for lid in "BCEF":
             spec = LanguageSpec(lid, r)
             try:
-                table = formulas.recurrence_seq(spec, schedule[-1]).values
+                table = formulas.recurrence_seq(spec, ASYMPTOTIC_SCHEDULE[-1])
                 deviations = [
-                    abs(asymptotic_ratio(spec, n, count=table[n]) - 1.0) for n in schedule
+                    abs(asymptotic_ratio(spec, n, count=table[n]) - 1.0) for n in ASYMPTOTIC_SCHEDULE
                 ]
                 shrinking = all(b < a for a, b in zip(deviations, deviations[1:]))
                 small = deviations[-1] <= ASYMPTOTIC_TOLERANCE
                 agree = shrinking and small
                 cells.append(
                     _cell(
-                        "asymptotics", lid, r, schedule[-1], "deviation-shrinks",
+                        "asymptotics", lid, r, ASYMPTOTIC_SCHEDULE[-1], "deviation-shrinks",
                         agree, () if agree else tuple(f"{d:.3e}" for d in deviations),
                     )
                 )
@@ -322,11 +319,12 @@ def run_check(
     n_max: int,
     suites: Sequence[str],
     budget: int = DEFAULT_BUDGET,
-    asymptotic_schedule: Optional[Sequence[int]] = None,
 ) -> CheckReport:
     r_values = sorted(set(r_values))
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if not suites:
+        raise ValueError(f"no suites given; choose from {SUITE_NAMES}")
     unknown = [s for s in suites if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
@@ -340,5 +338,5 @@ def run_check(
     if "bijection" in suites:
         cells.extend(run_bijection_suite(n_max))
     if "asymptotics" in suites:
-        cells.extend(run_asymptotics_suite(r_values, asymptotic_schedule or ASYMPTOTIC_SCHEDULE))
+        cells.extend(run_asymptotics_suite(r_values))
     return CheckReport(tuple(sorted(cells, key=CheckCell.sort_key)))

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, ConsistencyError, CountTable, LanguageSpec, LANGUAGE_IDS
+from .core import BudgetExceeded, ConsistencyError, LanguageSpec, LANGUAGE_IDS
 from .bfile import SequenceNotFound, bfile_emit, oeis_fetch
 from .checks import DEFAULT_BUDGET, ROUTES, SUITE_NAMES, run_check
 
@@ -23,8 +23,7 @@ def _format_series(spec: LanguageSpec, values: list[int], fmt: str) -> str:
     if fmt == "csv":
         return ",".join(str(v) for v in values)
     if fmt == "bfile":
-        table = CountTable(spec, tuple(values))
-        return bfile_emit(table).rstrip("\n")
+        return bfile_emit(values).rstrip("\n")
     if fmt == "json":
         payload = [
             {"language": spec.id, "r": spec.r, "n": n, "method": "series", "value": str(v)}
@@ -132,15 +131,24 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             if args.n_max < 0:
                 raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
             suites = tuple(s for s in args.suites.split(",") if s)
-            report = run_check(_parse_r_range(args.r), args.n_max, suites, args.budget)
-            print(report.render())
-            if args.json == "-":
-                print(report.to_json())
-            elif args.json:
+            if not suites or set(suites) - set(SUITE_NAMES):
+                raise UsageError(
+                    f"--suites takes a subset of {','.join(SUITE_NAMES)}, got {args.suites!r}"
+                )
+            r_values = _parse_r_range(args.r)
+            # Open the JSON path before any suite runs, so a bad one fails fast.
+            if args.json in (None, "-"):
+                sink = contextlib.nullcontext(sys.stdout if args.json else None)
+            else:
                 try:
-                    Path(args.json).write_text(report.to_json() + "\n")
+                    sink = open(args.json, "w")
                 except OSError as exc:
                     raise UsageError(f"cannot write --json {args.json}: {exc.strerror}") from None
+            with sink as out:
+                report = run_check(r_values, args.n_max, suites, args.budget)
+                print(report.render())
+                if out:
+                    print(report.to_json(), file=out)
             return 0 if report.ok else 1
         if args.command == "oeis":
             bf = oeis_fetch(args.sequence_id, cache_dir=args.cache_dir)

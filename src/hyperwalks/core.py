@@ -1,5 +1,5 @@
 """Domain vocabulary: steps, words, language selectors, their text formats,
-and the tables of counts indexed by semilength.
+and the errors every layer raises.
 
 A step is a vector in {+1, -1}^(r+1).  The last coordinate (index r+1) is the
 tracked coordinate: its prefix sums decide the hyperplane and half-space
@@ -215,29 +215,6 @@ class LanguageSpec:
 
     def __str__(self) -> str:
         return f"{self.id}(r={self.r})"
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts of a family's walks indexed by semilength 0..N.
-
-    For hyperplane-intersection counts (j > 0) the spec field holds the
-    underlying A/D family and j records how many extra coordinates are pinned.
-    """
-
-    spec: LanguageSpec
-    values: tuple[int, ...]
-    j: int = 0
-
-    def __post_init__(self):
-        if not self.values or self.values[0] != 1:
-            raise ValueError("a count table must start with the empty walk (value 1 at n=0)")
-        if any(v < 0 for v in self.values):
-            raise ValueError("counts cannot be negative")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
 
 
 @lru_cache(maxsize=None)

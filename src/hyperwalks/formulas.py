@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .core import ConsistencyError, CountTable, LanguageSpec
+from .core import ConsistencyError, LanguageSpec
 
 
 class SingularParameterError(ValueError):
@@ -214,16 +214,14 @@ def hyper_form(spec: LanguageSpec, n: int) -> int:
 class RecurrenceSpec:
     """A short recurrence lead(n)*t_n = back1(n)*t_(n-1) + back2(n)*t_(n-2).
 
-    `initial` holds t_1..t_order; t_0 = 1 always (the empty walk).  The
-    recurrence applies for n >= start.
+    `initial` holds t_1..t_k; t_0 = 1 always (the empty walk).  The
+    recurrence gives t_n for n > k.
     """
 
-    order: int
     lead: Callable[[int], int]
     back1: Callable[[int], int]
     back2: Callable[[int], int]
-    initial: tuple[int, ...]
-    start: int
+    initial: tuple[int, ...] = ()
 
 
 def recurrence_spec(spec: LanguageSpec) -> RecurrenceSpec:
@@ -233,12 +231,9 @@ def recurrence_spec(spec: LanguageSpec) -> RecurrenceSpec:
     if lid in ("A", "D"):
         shift = 0 if lid == "A" else 1
         return RecurrenceSpec(
-            order=1,
             lead=lambda n: n + shift,
             back1=lambda n: 2 ** (2 * r + 1) * (2 * n - 1),
             back2=lambda n: 0,
-            initial=(),
-            start=1,
         )
     if r < 1:
         raise ValueError(f"no recurrence for {spec}: r=0 families are constant for n >= 1")
@@ -261,56 +256,56 @@ def recurrence_spec(spec: LanguageSpec) -> RecurrenceSpec:
         initial = (q * q, 2 ** (4 * r) + 2 ** (2 * r) * (q - 1) ** 2)
     if lid in ("B", "C"):
         return RecurrenceSpec(
-            order=2,
             lead=lambda n: n,
             back1=lambda n: 2 * (a1 * (n - 1) + q * q - q),
             back2=lambda n: -a2 * (n - 2),
             initial=initial,
-            start=3,
         )
     return RecurrenceSpec(
-        order=2,
         lead=lambda n: n + 1,
         back1=lambda n: a1 * (2 * n - 1),
         back2=lambda n: -a2 * (n - 2),
         initial=initial,
-        start=3,
     )
 
 
-def recurrence_seq(spec: LanguageSpec, n_max: int) -> CountTable:
-    """Table of counts 0..n_max from initial conditions plus the recurrence.
+def _unroll(rs: RecurrenceSpec, n_max: int, name: str) -> tuple[int, ...]:
+    """t_0..t_n_max from t_0 = 1, the initial terms, then the recurrence.
 
-    Initial conditions are verified against the closed form before the table
-    is extended, and every division by the leading coefficient must be exact.
+    Every division by the leading coefficient must be exact and every term
+    nonnegative: the terms count walks.
+    """
+    values = [1, *rs.initial][: n_max + 1]
+    for n in range(len(values), n_max + 1):
+        rhs = rs.back1(n) * values[n - 1]
+        if n >= 2:
+            rhs += rs.back2(n) * values[n - 2]
+        quotient, remainder = divmod(rhs, rs.lead(n))
+        if remainder:
+            raise ConsistencyError(f"{name} at n={n}: inexact division")
+        if quotient < 0:
+            raise ConsistencyError(f"{name} at n={n}: negative term {quotient}")
+        values.append(quotient)
+    return tuple(values)
+
+
+def recurrence_seq(spec: LanguageSpec, n_max: int) -> tuple[int, ...]:
+    """Counts at n = 0..n_max from initial conditions plus the recurrence.
+
+    Initial conditions are verified against the closed form before the
+    recurrence extends them.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if spec.r == 0 and spec.id in _R0_VALUES:
-        values = (1,) + (_R0_VALUES[spec.id],) * n_max
-        return CountTable(spec, values[: n_max + 1])
+        return (1,) + (_R0_VALUES[spec.id],) * n_max
     rs = recurrence_spec(spec)
-    values = [1]
     for i, v in enumerate(rs.initial, start=1):
         if v != closed_form(spec, i):
             raise ConsistencyError(
                 f"initial condition t_{i}={v} for {spec} disagrees with the closed form"
             )
-        values.append(v)
-    values = values[: n_max + 1]
-    for n in range(len(values), n_max + 1):
-        if n < rs.start:
-            raise ConsistencyError(
-                f"recurrence for {spec} starts at n={rs.start}, but t_{n} has no initial condition"
-            )
-        rhs = rs.back1(n) * values[n - 1]
-        if rs.order == 2:
-            rhs += rs.back2(n) * values[n - 2]
-        quotient, remainder = divmod(rhs, rs.lead(n))
-        if remainder:
-            raise ConsistencyError(f"recurrence for {spec} at n={n}: inexact division")
-        values.append(quotient)
-    return CountTable(spec, tuple(values))
+    return _unroll(rs, n_max, f"recurrence for {spec}")
 
 
 def a_multi(r: int, j: int, n: int) -> int:
@@ -322,48 +317,34 @@ def a_multi(r: int, j: int, n: int) -> int:
     return 2 ** (2 * n * (r - j)) * comb(2 * n, n) ** (j + 1)
 
 
-def a_multi_recurrence(r: int, j: int, n_max: int) -> CountTable:
+def a_multi_recurrence(r: int, j: int, n_max: int) -> tuple[int, ...]:
     """Same sequence via n^(j+1) t_n = 2^(2r-j+1) (2n-1)^(j+1) t_(n-1)."""
     if not 0 <= j <= r:
         raise ValueError(f"need 0 <= j <= r, got j={j}, r={r}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    values = [1]
-    for n in range(1, n_max + 1):
-        rhs = 2 ** (2 * r - j + 1) * (2 * n - 1) ** (j + 1) * values[-1]
-        quotient, remainder = divmod(rhs, n ** (j + 1))
-        if remainder:
-            raise ConsistencyError(f"multi-hyperplane recurrence at (r={r}, j={j}, n={n}): inexact division")
-        values.append(quotient)
-    return CountTable(LanguageSpec("A", r), tuple(values), j=j)
+    rs = RecurrenceSpec(
+        lead=lambda n: n ** (j + 1),
+        back1=lambda n: 2 ** (2 * r - j + 1) * (2 * n - 1) ** (j + 1),
+        back2=lambda n: 0,
+    )
+    return _unroll(rs, n_max, f"multi-hyperplane recurrence (r={r}, j={j})")
 
 
-@dataclass(frozen=True)
-class RatioCheckReport:
-    """Outcome of the exact cross-family ratio identities for one r."""
-
-    r: int
-    n_max: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def cross_ratio_check(r: int, n_max: int) -> RatioCheckReport:
-    """Verify 2^r b_n = (2^r - 1) c_n and 2^r e_n = (2^r - 1) f_n for 1 <= n <= n_max."""
+def cross_ratio_check(r: int, n_max: int) -> tuple[str, ...]:
+    """Violations of 2^r b_n = (2^r - 1) c_n and 2^r e_n = (2^r - 1) f_n for
+    1 <= n <= n_max; an empty tuple means both identities hold."""
     if r < 1:
         raise ValueError("ratio identities need r >= 1")
     q = 2 ** r
-    b = recurrence_seq(LanguageSpec("B", r), n_max).values
-    c = recurrence_seq(LanguageSpec("C", r), n_max).values
-    e = recurrence_seq(LanguageSpec("E", r), n_max).values
-    f = recurrence_seq(LanguageSpec("F", r), n_max).values
+    b = recurrence_seq(LanguageSpec("B", r), n_max)
+    c = recurrence_seq(LanguageSpec("C", r), n_max)
+    e = recurrence_seq(LanguageSpec("E", r), n_max)
+    f = recurrence_seq(LanguageSpec("F", r), n_max)
     violations = []
     for n in range(1, n_max + 1):
         if q * b[n] != (q - 1) * c[n]:
             violations.append(f"r={r} n={n}: {q}*b_n={q * b[n]} != {q - 1}*c_n={(q - 1) * c[n]}")
         if q * e[n] != (q - 1) * f[n]:
             violations.append(f"r={r} n={n}: {q}*e_n={q * e[n]} != {q - 1}*f_n={(q - 1) * f[n]}")
-    return RatioCheckReport(r, n_max, tuple(violations))
+    return tuple(violations)

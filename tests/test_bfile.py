@@ -1,7 +1,6 @@
 import pytest
 
 from hyperwalks import (
-    CountTable,
     LanguageSpec,
     bfile_emit,
     bfile_parse,
@@ -13,21 +12,19 @@ from hyperwalks.bfile import BFile, BFileParseError, SequenceNotFound
 
 
 def test_emit_example():
-    table = CountTable(LanguageSpec("B", 1), (1, 4, 28))
-    assert bfile_emit(table) == "0 1\n1 4\n2 28\n"
+    assert bfile_emit((1, 4, 28)) == "0 1\n1 4\n2 28\n"
 
 
 def test_parse_round_trip():
-    table = CountTable(LanguageSpec("B", 1), (1, 4, 28))
-    parsed = bfile_parse(bfile_emit(table))
+    parsed = bfile_parse(bfile_emit((1, 4, 28)))
     assert parsed.entries == ((0, 1), (1, 4), (2, 28))
 
 
 def test_round_trip_huge_values():
     table = recurrence_seq(LanguageSpec("C", 5), 400)
-    assert len(str(table.values[-1])) > 1000
+    assert len(str(table[-1])) > 1000
     parsed = bfile_parse(bfile_emit(table))
-    assert parsed.values() == table.values
+    assert parsed.values() == table
 
 
 def test_parse_comments_and_blanks():
@@ -67,19 +64,18 @@ def test_fetch_all_bundled_fixtures():
 
 
 def test_fetch_populates_and_reuses_cache(tmp_path):
-    bf = oeis_fetch("A082298", cache_dir=tmp_path)
-    cached = tmp_path / "b082298.txt"
-    assert cached.is_file()
-    # tamper with the cache: a second fetch must read it, not the bundle
-    cached.write_text("0 99\n")
+    # a cached b-file takes precedence over the bundled one
+    (tmp_path / "b082298.txt").write_text("0 99\n")
     assert oeis_fetch("A082298", cache_dir=tmp_path).values() == (99,)
-    assert bf.values()[0] == 1
+    # the cache is only read: a missing entry falls back to the bundle
+    assert oeis_fetch("A086871", cache_dir=tmp_path).values()[0] == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b082298.txt"]
 
 
 def test_cache_dir_from_environment(tmp_path, monkeypatch):
+    (tmp_path / "b086871.txt").write_text("1 7\n2 8\n")
     monkeypatch.setenv("HYPERWALKS_OEIS_CACHE", str(tmp_path))
-    oeis_fetch("A086871")
-    assert (tmp_path / "b086871.txt").is_file()
+    assert oeis_fetch("A086871").entries == ((1, 7), (2, 8))
 
 
 def test_fetch_unknown_sequence():
@@ -90,21 +86,22 @@ def test_fetch_unknown_sequence():
 
 
 def test_compare_alignment_offset_zero():
-    e = recurrence_seq(LanguageSpec("E", 1), 12).values
+    e = recurrence_seq(LanguageSpec("E", 1), 12)
     comparison = compare_with_table("A086871", oeis_fetch("A086871"), e)
+    # the b-file starts at index 1, so it meets the table at n = 1..12
     assert comparison.ok
-    assert comparison.shift == 0
     assert comparison.compared == 12
 
 
 def test_compare_alignment_offset_one():
-    f = recurrence_seq(LanguageSpec("F", 1), 12).values
+    f = recurrence_seq(LanguageSpec("F", 1), 12)
     comparison = compare_with_table("A082298", oeis_fetch("A082298"), f)
+    # the b-file starts at index 0, so n = 0 is compared too
     assert comparison.ok
-    assert comparison.shift == 1
+    assert comparison.compared == 13
 
 
 def test_compare_detects_mismatch():
-    b = recurrence_seq(LanguageSpec("B", 1), 12).values
+    b = recurrence_seq(LanguageSpec("B", 1), 12)
     comparison = compare_with_table("A082298", oeis_fetch("A082298"), b)
     assert not comparison.ok

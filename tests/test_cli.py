@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import hyperwalks
 import hyperwalks.formulas as formulas_module
 import hyperwalks.oracle as oracle_module
 import hyperwalks.series as series_module
-from hyperwalks import ConsistencyError, CountTable
+from hyperwalks import ConsistencyError
 from hyperwalks.cli import main
 from hyperwalks.checks import ROUTES, run_check
 from hyperwalks.formulas import recurrence_spec
@@ -133,6 +134,16 @@ def test_series_json(capsys):
     assert payload[2] == {"language": "B", "r": 1, "n": 2, "method": "series", "value": "28"}
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "bfile"])
+def test_series_negative_coefficient_exits_3(capsys, monkeypatch, fmt):
+    good = series_module.gf_series
+    monkeypatch.setattr(series_module, "gf_series", lambda spec, n: good(spec, n)[:-1] + (-1,))
+    code, out, err = run(capsys, "series", "B", "--r", "1", "--terms", "4", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert "-1" in err
+
+
 def test_series_rejects_zero_terms(capsys):
     code, _, err = run(capsys, "series", "B", "--r", "1", "--terms", "0")
     assert code == 2
@@ -166,7 +177,9 @@ def test_check_json_deterministic(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--n-max", "-1"), ("--r", "1.."), ("--r", "x"), ("--r", "2..1")]
+    "flag,value",
+    [("--n-max", "-1"), ("--r", "1.."), ("--r", "x"), ("--r", "2..1"), ("--suites", ""),
+     ("--suites", ",")],
 )
 def test_check_rejects_bad_input(capsys, flag, value):
     code, out, err = run(capsys, "check", flag, value)
@@ -177,18 +190,15 @@ def test_check_rejects_bad_input(capsys, flag, value):
 
 def test_check_unwritable_json_is_bad_input(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
-    code, _, err = run(capsys, "check", "--n-max", "2", "--json", str(path))
+    code, out, err = run(capsys, "check", "--n-max", "2", "--json", str(path))
     assert code == 2
+    assert out == ""
     assert err.startswith("error:")
     assert str(path) in err
 
 
-def _plus_one_last(table):
-    return CountTable(table.spec, table.values[:-1] + (table.values[-1] + 1,))
-
-
-def _plus_one_last_coefficient(coefficients):
-    return coefficients[:-1] + (coefficients[-1] + 1,)
+def _plus_one_last(values):
+    return values[:-1] + (values[-1] + 1,)
 
 
 # Each route's module attribute and a corruption of what it returns.
@@ -197,7 +207,7 @@ CORRUPTIONS = {
     "hyper": (formulas_module, "hyper_form", lambda value: value + 1),
     "recurrence": (formulas_module, "recurrence_seq", _plus_one_last),
     "dp": (oracle_module, "count_dp", lambda value: value + 1),
-    "series": (series_module, "gf_series", _plus_one_last_coefficient),
+    "series": (series_module, "gf_series", _plus_one_last),
     "naive": (oracle_module, "naive_census", lambda census: {**census, "C": census["C"] + 1}),
 }
 
@@ -213,7 +223,7 @@ def test_check_detects_each_corrupted_route(capsys, monkeypatch, route):
 
 
 def test_optimized_interpreter_catches_corrupted_recurrence_start():
-    # Under python -O asserts vanish; the start-of-recurrence guard must not.
+    # Under python -O asserts vanish; the initial-condition guard must not.
     script = """
 import dataclasses, sys
 import hyperwalks.formulas as formulas
@@ -222,7 +232,14 @@ from hyperwalks.cli import main
 if __debug__:
     sys.exit("not running under -O")
 good = formulas.recurrence_spec
-formulas.recurrence_spec = lambda spec: dataclasses.replace(good(spec), start=good(spec).start + 1)
+
+def corrupted(spec):
+    rs = good(spec)
+    if not rs.initial:
+        return rs
+    return dataclasses.replace(rs, initial=(rs.initial[0] + 1,) + rs.initial[1:])
+
+formulas.recurrence_spec = corrupted
 sys.exit(main(["check", "--r", "1", "--n-max", "5", "--suites", "methods"]))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(hyperwalks.__file__).resolve().parents[1]))
@@ -239,10 +256,7 @@ def test_check_detects_corrupted_initial_condition(capsys, monkeypatch):
     def corrupted(spec):
         rs = good(spec)
         if spec.id == "C" and spec.r == 1:
-            return type(rs)(
-                order=rs.order, lead=rs.lead, back1=rs.back1, back2=rs.back2,
-                initial=(rs.initial[0], rs.initial[1] + 2), start=rs.start,
-            )
+            return dataclasses.replace(rs, initial=(rs.initial[0], rs.initial[1] + 2))
         return rs
 
     monkeypatch.setattr(formulas_module, "recurrence_spec", corrupted)
@@ -254,6 +268,22 @@ def test_check_detects_corrupted_initial_condition(capsys, monkeypatch):
 def test_run_check_rejects_unknown_suite():
     with pytest.raises(ValueError):
         run_check([1], 5, ("nonsense",))
+    with pytest.raises(ValueError):
+        run_check([1], 5, ())
+
+
+def test_count_recurrence_negative_term_exits_3(capsys, monkeypatch):
+    good = recurrence_spec
+
+    def negated(spec):
+        rs = good(spec)
+        return dataclasses.replace(rs, back1=lambda n: -rs.back1(n))
+
+    monkeypatch.setattr(formulas_module, "recurrence_spec", negated)
+    code, out, err = run(capsys, "count", "A", "--r", "1", "--n", "3", "--method", "recurrence")
+    assert code == 3
+    assert out == ""
+    assert "negative" in err
 
 
 def test_oeis_subcommand(capsys):
@@ -263,3 +293,13 @@ def test_oeis_subcommand(capsys):
     code, _, err = run(capsys, "oeis", "A000000")
     assert code == 2
     assert "A000000" in err
+
+
+def test_oeis_cache_dir_that_is_a_file(capsys, tmp_path):
+    # the cache is only read, so a path that cannot hold it falls back to the bundle
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    code, out, _ = run(capsys, "oeis", "A086871", "--cache-dir", str(not_a_dir))
+    assert code == 0
+    assert out.splitlines()[:2] == ["1 2", "2 10"]
+    assert not_a_dir.read_text() == ""

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -139,11 +140,11 @@ def test_hyper_form_matches_closed(lid, r):
 
 
 def test_recurrence_seq_examples():
-    assert recurrence_seq(LanguageSpec("B", 1), 3).values == (1, 4, 28, 212)
-    assert recurrence_seq(LanguageSpec("A", 1), 2).values == (1, 8, 96)
-    assert recurrence_seq(LanguageSpec("F", 1), 3).values == (1, 4, 20, 116)
-    assert recurrence_seq(LanguageSpec("E", 0), 5).values == (1, 0, 0, 0, 0, 0)
-    assert recurrence_seq(LanguageSpec("C", 0), 3).values == (1, 2, 2, 2)
+    assert recurrence_seq(LanguageSpec("B", 1), 3) == (1, 4, 28, 212)
+    assert recurrence_seq(LanguageSpec("A", 1), 2) == (1, 8, 96)
+    assert recurrence_seq(LanguageSpec("F", 1), 3) == (1, 4, 20, 116)
+    assert recurrence_seq(LanguageSpec("E", 0), 5) == (1, 0, 0, 0, 0, 0)
+    assert recurrence_seq(LanguageSpec("C", 0), 3) == (1, 2, 2, 2)
 
 
 @pytest.mark.parametrize("lid", "ABCDEF")
@@ -151,25 +152,32 @@ def test_recurrence_seq_examples():
 def test_recurrence_matches_closed(lid, r):
     table = recurrence_seq(LanguageSpec(lid, r), 40)
     for n in range(41):
-        assert table.values[n] == closed_form(LanguageSpec(lid, r), n)
+        assert table[n] == closed_form(LanguageSpec(lid, r), n)
 
 
 def test_recurrence_seq_truncation():
-    assert recurrence_seq(LanguageSpec("B", 2), 0).values == (1,)
-    assert recurrence_seq(LanguageSpec("B", 2), 1).values == (1, 24)
+    assert recurrence_seq(LanguageSpec("B", 2), 0) == (1,)
+    assert recurrence_seq(LanguageSpec("B", 2), 1) == (1, 24)
 
 
 def test_recurrence_initial_condition_guard(monkeypatch):
     import hyperwalks.formulas as formulas_module
 
     good = recurrence_spec(LanguageSpec("B", 1))
-    corrupt = type(good)(
-        order=good.order, lead=good.lead, back1=good.back1, back2=good.back2,
-        initial=(good.initial[0] + 1, good.initial[1]), start=good.start,
-    )
+    corrupt = dataclasses.replace(good, initial=(good.initial[0] + 1, good.initial[1]))
     monkeypatch.setattr(formulas_module, "recurrence_spec", lambda spec: corrupt)
     with pytest.raises(ConsistencyError):
         formulas_module.recurrence_seq(LanguageSpec("B", 1), 5)
+
+
+def test_recurrence_inexact_division_guard(monkeypatch):
+    import hyperwalks.formulas as formulas_module
+
+    good = recurrence_spec(LanguageSpec("A", 1))
+    corrupt = dataclasses.replace(good, lead=lambda n: 3 * n)
+    monkeypatch.setattr(formulas_module, "recurrence_spec", lambda spec: corrupt)
+    with pytest.raises(ConsistencyError, match="inexact"):
+        formulas_module.recurrence_seq(LanguageSpec("A", 1), 3)
 
 
 def test_a_multi_examples():
@@ -188,9 +196,8 @@ def test_a_multi_j0_is_the_single_hyperplane_count(r):
 def test_a_multi_recurrence_matches_closed(r):
     for j in range(r + 1):
         table = a_multi_recurrence(r, j, 30)
-        assert table.j == j
         for n in range(31):
-            assert table.values[n] == a_multi(r, j, n)
+            assert table[n] == a_multi(r, j, n)
 
 
 def test_a_multi_validates_arguments():
@@ -203,17 +210,15 @@ def test_a_multi_validates_arguments():
 
 
 def test_cross_ratio_examples():
-    report = cross_ratio_check(1, 3)
-    assert report.ok
-    b = recurrence_seq(LanguageSpec("B", 1), 3).values
-    c = recurrence_seq(LanguageSpec("C", 1), 3).values
+    assert cross_ratio_check(1, 3) == ()
+    b = recurrence_seq(LanguageSpec("B", 1), 3)
+    c = recurrence_seq(LanguageSpec("C", 1), 3)
     assert 2 * b[2] == 1 * c[2] == 56
     assert c[3] == 424
 
-    report2 = cross_ratio_check(2, 1)
-    assert report2.ok
-    e = recurrence_seq(LanguageSpec("E", 2), 1).values
-    f = recurrence_seq(LanguageSpec("F", 2), 1).values
+    assert cross_ratio_check(2, 1) == ()
+    e = recurrence_seq(LanguageSpec("E", 2), 1)
+    f = recurrence_seq(LanguageSpec("F", 2), 1)
     assert (e[1], f[1]) == (12, 16)
     assert 4 * e[1] == 3 * f[1]
 

@@ -1,10 +1,13 @@
-"""Static checks that the counting routes stay independent of each other.
+"""Static checks on the module layout.
 
 A route that imports the routes it is checked against could start calling
-them; these tests read each module's imports without running it.
+them; these tests read each module's imports without running it.  The
+benchmark's tracer looks functions up by module and name, so those names
+must stay where it looks for them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -50,3 +53,19 @@ def test_route_does_not_import_the_routes_it_is_checked_against(module, forbidde
 def test_import_scan_sees_relative_imports():
     assert {"core", "automata"} <= imported_modules("oracle")
     assert "formulas" in imported_modules("checks")
+
+
+def traced_functions() -> tuple[tuple[str, str], ...]:
+    """The (module, function) pairs walkbench/spans.py wraps with `--trace 1`."""
+    spans = Path(__file__).resolve().parents[1] / "walkbench" / "spans.py"
+    for node in ast.parse(spans.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("walkbench/spans.py defines no TRACED")
+
+
+@pytest.mark.parametrize("module,function", traced_functions())
+def test_traced_function_exists(module, function):
+    assert callable(getattr(importlib.import_module(f"hyperwalks.{module}"), function, None))

@@ -7,7 +7,6 @@ import pytest
 import hyperwalks.oracle as oracle
 from hyperwalks import (
     BudgetExceeded,
-    CountTable,
     LanguageSpec,
     PatternKind,
     StepVector,
@@ -230,10 +229,3 @@ def test_negative_n_is_rejected(count, n):
 def test_count_dp_multi_validates_j():
     with pytest.raises(ValueError):
         count_dp_multi(1, 2, 1, False)
-
-
-def test_count_table_invariants():
-    with pytest.raises(ValueError):
-        CountTable(LanguageSpec("A", 1), (2, 8))
-    table = CountTable(LanguageSpec("A", 1), (1, 8, 96))
-    assert table.n_max == 2

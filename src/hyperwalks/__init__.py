@@ -18,7 +18,6 @@ from .core import (
     StepFormatError,
     StepVector,
     Word,
-    height_profile,
     parse_step,
     parse_word,
     step_alphabet,
@@ -99,7 +98,6 @@ __all__ = [
     "cross_ratio_check",
     "enumerate_words",
     "gf_series",
-    "height_profile",
     "hyper_form",
     "hyper_terminating",
     "naive_census",

@@ -118,10 +118,6 @@ def avoids_pattern(kind: PatternKind, w: Word) -> bool:
 
 def recognize(spec: LanguageSpec, w: Word) -> bool:
     """Membership test for any of the six languages via the intersections."""
-    if w.dimension is not None and w.dimension != spec.r + 1:
-        raise DimensionMismatch(
-            f"word has dimension {w.dimension}, language {spec} expects {spec.r + 1}"
-        )
     base = accepts_halfspace(spec.r, w) if spec.halfspace else accepts_hyperplane(spec.r, w)
     if not base:
         return False

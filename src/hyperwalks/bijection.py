@@ -31,35 +31,15 @@ class BijectionDomainError(ValueError):
     """Input outside the bijection's domain or codomain."""
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Maximal runs (step, multiplicity) whose concatenation is the word."""
-
-    runs: tuple[tuple[StepVector, int], ...]
-
-    def __post_init__(self):
-        for (a, ma), (b, _) in zip(self.runs, self.runs[1:]):
-            if a == b:
-                raise ValueError("adjacent runs must have distinct steps")
-        if any(m < 1 for _, m in self.runs):
-            raise ValueError("run multiplicities must be positive")
-
-    def word(self) -> Word:
-        steps: list[StepVector] = []
-        for step, multiplicity in self.runs:
-            steps.extend([step] * multiplicity)
-        return Word(tuple(steps))
-
-
-def run_decompose(w: Word) -> RunDecomposition:
-    """The unique maximal-run decomposition of a word."""
+def run_decompose(w: Word) -> tuple[tuple[StepVector, int], ...]:
+    """The unique maximal runs (step, multiplicity) whose concatenation is w."""
     runs: list[tuple[StepVector, int]] = []
     for step in w:
         if runs and runs[-1][0] == step:
             runs[-1] = (step, runs[-1][1] + 1)
         else:
             runs.append((step, 1))
-    return RunDecomposition(tuple(runs))
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -83,16 +63,14 @@ class DiagonalPath:
     def extent(self) -> int:
         return sum(j for j, _ in self.steps)
 
-    def heights(self) -> list[int]:
-        hs = [0]
-        for j, sign in self.steps:
-            hs.append(hs[-1] + j * sign)
-        return hs
-
     def is_valid(self) -> bool:
         """Nonnegative at every prefix and back to height 0 at the end."""
-        hs = self.heights()
-        return all(h >= 0 for h in hs) and hs[-1] == 0
+        height = 0
+        for j, sign in self.steps:
+            height += j * sign
+            if height < 0:
+                return False
+        return height == 0
 
     def text(self) -> str:
         return ";".join(f"{j},{'+' if s == 1 else '-'}" for j, s in self.steps)
@@ -101,34 +79,15 @@ class DiagonalPath:
         return self.text()
 
 
-def parse_diagonal_path(text: str) -> DiagonalPath:
-    """Parse the semicolon-separated "j,s" format, e.g. "2,+;2,+;1,-;3,-"."""
-    if text == "":
-        return DiagonalPath(())
-    steps = []
-    for part in text.split(";"):
-        j_text, _, s_text = part.partition(",")
-        if s_text not in ("+", "-") or not j_text.isdigit():
-            raise ValueError(f"malformed diagonal step {part!r}")
-        steps.append((int(j_text), 1 if s_text == "+" else -1))
-    return DiagonalPath(tuple(steps))
-
-
-def _require_domain_word(w: Word) -> None:
+def phi(w: Word) -> DiagonalPath:
+    """Map a walk to its diagonal path: run of length j -> (j, +-j)."""
     if len(w) == 0:
         raise BijectionDomainError("the bijection is defined on nonempty walks")
     if w.steps[0] != FIRST_STEP:
         raise BijectionDomainError(f"walk must start with {FIRST_STEP}, got {w.steps[0]}")
     if not recognize(E_LANGUAGE, w):
         raise BijectionDomainError(f"walk {w} is not a backtrack-free nonnegative plane walk")
-
-
-def phi(w: Word) -> DiagonalPath:
-    """Map a walk to its diagonal path: run of length j -> (j, +-j)."""
-    _require_domain_word(w)
-    return DiagonalPath(
-        tuple((m, step.tracked) for step, m in run_decompose(w).runs)
-    )
+    return DiagonalPath(tuple((m, step.tracked) for step, m in run_decompose(w)))
 
 
 def phi_inverse(p: DiagonalPath) -> Word:
@@ -143,23 +102,18 @@ def phi_inverse(p: DiagonalPath) -> Word:
         raise BijectionDomainError("the bijection is defined on nonempty paths")
     if not p.is_valid():
         raise BijectionDomainError(f"path {p} leaves the quarter plane or does not end at height 0")
-    steps: list[StepVector] = []
-    prev: StepVector = FIRST_STEP
-    for i, (j, sign) in enumerate(p.steps):
-        if i == 0:
-            run_step = FIRST_STEP
-            if sign != 1:
-                raise BijectionDomainError("a valid nonempty path must start upward")
-        else:
-            excluded = (prev, prev.negate())
-            candidates = [
-                step for step in _ALPHABET if step.tracked == sign and step not in excluded
-            ]
-            if len(candidates) != 1:
-                raise ConsistencyError("run reconstruction must be forced")
-            run_step = candidates[0]
-        steps.extend([run_step] * j)
-        prev = run_step
+    # A valid path starts upward, so its first run is FIRST_STEP.
+    prev = FIRST_STEP
+    steps = [FIRST_STEP] * p.steps[0][0]
+    for j, sign in p.steps[1:]:
+        excluded = (prev, prev.negate())
+        candidates = [
+            step for step in _ALPHABET if step.tracked == sign and step not in excluded
+        ]
+        if len(candidates) != 1:
+            raise ConsistencyError("run reconstruction must be forced")
+        prev = candidates[0]
+        steps.extend([prev] * j)
     return Word(tuple(steps))
 
 
@@ -240,27 +194,13 @@ def count_E_double_prime(n: int) -> int:
     return layers[extent].get(0, 0)
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    """Outcome of the exhaustive bijection verification at one semilength."""
+def verify_bijection(n: int) -> tuple[str, ...]:
+    """Exhaustively check the bijection at semilength n; return the failures.
 
-    n: int
-    walk_count: int
-    path_count: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_bijection(n: int) -> BijectionReport:
-    """Exhaustively check the bijection at semilength n.
-
-    Asserts that the forward map is total and injective on the domain walks,
+    Checks that the forward map is total and injective on the domain walks,
     lands in the valid paths of extent 2n, is undone by the inverse, that the
     inverse followed by the forward map fixes every valid path, and that the
-    two independent counts agree.
+    two independent counts agree.  An empty tuple means the bijection holds.
     """
     if n < 1:
         raise ValueError("bijection verification needs n >= 1")
@@ -296,4 +236,4 @@ def verify_bijection(n: int) -> BijectionReport:
         failures.append(
             f"enumerated {round_trip_paths} paths but the DP counts {path_count}"
         )
-    return BijectionReport(n, walk_count, path_count, tuple(failures))
+    return tuple(failures)

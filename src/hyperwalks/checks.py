@@ -265,10 +265,8 @@ def run_bijection_suite(n_max: int) -> list[CheckCell]:
     cells: list[CheckCell] = []
     for n in range(1, min(n_max, 6) + 1):
         try:
-            report = verify_bijection(n)
-            cells.append(
-                _cell("bijection", "E", 1, n, "round-trip", report.ok, report.failures[:4])
-            )
+            failures = verify_bijection(n)
+            cells.append(_cell("bijection", "E", 1, n, "round-trip", not failures, failures[:4]))
         except Exception as exc:
             cells.append(_error_cell("bijection", "E", 1, n, "round-trip", exc))
     try:
@@ -339,4 +337,8 @@ def run_check(
         cells.extend(run_bijection_suite(n_max))
     if "asymptotics" in suites:
         cells.extend(run_asymptotics_suite(r_values))
+    if not cells:
+        raise ValueError(
+            f"suites {','.join(suites)} have no cell to compare at r {r_values}, n_max {n_max}"
+        )
     return CheckReport(tuple(sorted(cells, key=CheckCell.sort_key)))

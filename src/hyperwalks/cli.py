@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
-from .core import BudgetExceeded, ConsistencyError, LanguageSpec, LANGUAGE_IDS
+from .core import BudgetExceeded, LanguageSpec, LANGUAGE_IDS
 from .bfile import SequenceNotFound, bfile_emit, oeis_fetch
 from .checks import DEFAULT_BUDGET, ROUTES, SUITE_NAMES, run_check
 
@@ -97,7 +97,8 @@ def _resolve_language(args) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one subcommand.  Exit codes: 0 ok, 1 a check disagrees, 2 bad
-    input, 3 an internal cross-check failed (ConsistencyError)."""
+    input, 3 an internal cross-check failed (ConsistencyError) or any other
+    unexpected exception."""
     # Counts have any number of digits: lift the integer printing limit while
     # main runs.  Python releases before 3.10.7 have no limit.
     set_limit = getattr(sys, "set_int_max_str_digits", None)
@@ -136,18 +137,22 @@ def _run(argv: Optional[Sequence[str]]) -> int:
                     f"--suites takes a subset of {','.join(SUITE_NAMES)}, got {args.suites!r}"
                 )
             r_values = _parse_r_range(args.r)
-            # Open the JSON path before any suite runs, so a bad one fails fast.
-            if args.json in (None, "-"):
-                sink = contextlib.nullcontext(sys.stdout if args.json else None)
-            else:
+            if args.json not in (None, "-"):
+                # Try the JSON path before any suite runs, so a bad one fails
+                # fast, but leave it as it was until there is a report to write.
+                existed = os.path.exists(args.json)
                 try:
-                    sink = open(args.json, "w")
+                    open(args.json, "a").close()
                 except OSError as exc:
                     raise UsageError(f"cannot write --json {args.json}: {exc.strerror}") from None
-            with sink as out:
-                report = run_check(r_values, args.n_max, suites, args.budget)
-                print(report.render())
-                if out:
+                if not existed:
+                    os.remove(args.json)
+            report = run_check(r_values, args.n_max, suites, args.budget)
+            print(report.render())
+            if args.json == "-":
+                print(report.to_json())
+            elif args.json:
+                with open(args.json, "w") as out:
                     print(report.to_json(), file=out)
             return 0 if report.ok else 1
         if args.command == "oeis":
@@ -155,12 +160,12 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             for index, value in bf.entries:
                 print(f"{index} {value}")
             return 0
-    except ConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, BudgetExceeded, SequenceNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # ConsistencyError or any other library fault
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     raise AssertionError("unreachable")
 
 

@@ -65,10 +65,6 @@ class StepVector:
         return len(self.coords)
 
     @property
-    def r(self) -> int:
-        return len(self.coords) - 1
-
-    @property
     def tracked(self) -> int:
         """Sign of the tracked (last) coordinate."""
         return self.coords[-1]
@@ -81,10 +77,6 @@ class StepVector:
             if c == -1:
                 m |= 1 << i
         return m
-
-    @classmethod
-    def from_mask(cls, mask: int, r: int) -> "StepVector":
-        return cls(tuple(-1 if mask >> i & 1 else 1 for i in range(r + 1)))
 
     def negate(self) -> "StepVector":
         return _negation(self.coords)
@@ -172,14 +164,6 @@ def parse_word(text: str, r: int) -> Word:
     if text == "":
         return Word(())
     return Word(tuple(parse_step(part, r) for part in text.split(",")))
-
-
-def height_profile(w: Word) -> list[int]:
-    """Prefix sums of the tracked coordinate, starting at 0 (length |w|+1)."""
-    heights = [0]
-    for s in w:
-        heights.append(heights[-1] + s.tracked)
-    return heights
 
 
 @dataclass(frozen=True)

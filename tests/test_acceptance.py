@@ -218,7 +218,7 @@ def test_criterion_09_bijection():
     if phi(worked_walk) != DiagonalPath(((2, 1), (2, 1), (1, -1), (3, -1))):
         ok = False
     for n in range(1, 7):
-        if not verify_bijection(n).ok:
+        if verify_bijection(n):
             ok = False
     e = recurrence_seq(LanguageSpec("E", 1), 10)
     for n in range(1, 11):

@@ -23,7 +23,6 @@ from hyperwalks import (
     recognize,
     step_alphabet,
 )
-from hyperwalks.core import height_profile
 
 
 def words_up_to(r, max_len):
@@ -33,7 +32,7 @@ def words_up_to(r, max_len):
 
 
 def tracked_ok(w, halfspace):
-    hs = height_profile(w)
+    hs = [0, *itertools.accumulate(s.tracked for s in w)]
     return hs[-1] == 0 and (not halfspace or min(hs) >= 0)
 
 

@@ -272,6 +272,50 @@ def test_run_check_rejects_unknown_suite():
         run_check([1], 5, ())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n-max", "0", "--suites", "bijection"),
+        ("--r", "3", "--suites", "asymptotics"),
+        ("--r", "0", "--suites", "ratios"),
+        ("--r", "1", "--n-max", "0", "--suites", "symmetry"),
+    ],
+)
+def test_check_with_no_cell_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2
+    assert out == ""
+    assert "no cell" in err
+
+
+def test_check_with_no_cell_leaves_json_path_alone(capsys, tmp_path):
+    kept = tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    fresh = tmp_path / "fresh.json"
+    for path in (kept, fresh):
+        code, out, _ = run(capsys, "check", "--n-max", "0", "--suites", "bijection",
+                           "--json", str(path))
+        assert (code, out) == (2, "")
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
+
+
+def test_check_r0_default_suites_has_cells(capsys):
+    code, out, _ = run(capsys, "check", "--r", "0")
+    assert code == 0
+    assert out.splitlines()[0].startswith("[methods]")
+    assert not out.startswith("[methods] 0 cells")
+
+
+def test_unexpected_library_exception_exits_3(capsys):
+    # at r = 62 the DP's 2^63-letter alphabet overflows before any work
+    code, out, err = run(capsys, "count", "A", "--r", "62", "--n", "1", "--method", "dp")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: OverflowError: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_count_recurrence_negative_term_exits_3(capsys, monkeypatch):
     good = recurrence_spec
 

@@ -8,7 +8,6 @@ from hyperwalks import (
     StepFormatError,
     StepVector,
     Word,
-    height_profile,
     parse_step,
     parse_word,
     step_alphabet,
@@ -72,19 +71,6 @@ def test_flip_involution_and_commutation():
                 assert s.flip(i).flip(k) == s.flip(k).flip(i)
 
 
-def test_height_profile():
-    assert height_profile(Word(())) == [0]
-    assert height_profile(parse_word("++,+-", 1)) == [0, 1, 0]
-    assert height_profile(parse_word("++,-+,--,+-", 1)) == [0, 1, 2, 1, 0]
-
-
-def test_height_profile_ends_at_zero_iff_balanced():
-    for steps in itertools.product(step_alphabet(1), repeat=4):
-        w = Word(steps)
-        ups = sum(1 for s in w if s.tracked == 1)
-        assert (height_profile(w)[-1] == 0) == (ups == 2)
-
-
 def test_word_round_trip():
     text = "++,--,+-"
     assert parse_word(text, 1).text() == text
@@ -107,7 +93,7 @@ def test_step_vector_validation():
 def test_mask_round_trip():
     for r in range(4):
         for s in step_alphabet(r):
-            assert StepVector.from_mask(s.mask, r) == s
+            assert all((s.mask >> i & 1) == (c == -1) for i, c in enumerate(s.coords))
 
 
 def test_language_spec_validation():

@@ -44,6 +44,8 @@ def imported_modules(module: str) -> set[str]:
         ("formulas", {"oracle", "automata", "bijection"}),
         ("series", {"formulas", "oracle", "automata", "bijection"}),
         ("oracle", {"formulas", "series", "bijection"}),
+        ("bijection", {"formulas", "series", "oracle"}),
+        ("automata", {"formulas", "series", "oracle", "bijection"}),
     ],
 )
 def test_route_does_not_import_the_routes_it_is_checked_against(module, forbidden):

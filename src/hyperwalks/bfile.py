@@ -12,9 +12,6 @@ from typing import Optional, Sequence
 #: Environment variable overriding the b-file cache directory.
 CACHE_ENV_VAR = "HYPERWALKS_OEIS_CACHE"
 
-#: Sequence ids with bundled offline fixtures.
-FIXTURE_IDS = ("A059231", "A082298", "A085363", "A086871")
-
 _ID_PATTERN = re.compile(r"^A\d{6}$")
 
 
@@ -118,24 +115,15 @@ def oeis_fetch(sequence_id: str, cache_dir: Optional[Path] = None) -> BFile:
     return bfile_parse(text)
 
 
-@dataclass(frozen=True)
-class SequenceComparison:
-    """A b-file compared entry by entry with internally computed values."""
-
-    sequence_id: str
-    compared: int
-    mismatches: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and self.compared > 0
-
-
-def compare_with_table(sequence_id: str, bf: BFile, values: Sequence[int]) -> SequenceComparison:
+def compare_with_table(
+    sequence_id: str, bf: BFile, values: Sequence[int]
+) -> tuple[int, tuple[str, ...]]:
     """Compare each b-file entry (n, value) with values[n], for 0 <= n < len(values).
 
     Values are indexed by semilength with the empty walk at 0, and a b-file's
-    own index column says which n each of its entries is.
+    own index column says which n each of its entries is.  Returns the number
+    of entries compared and the mismatches; the b-file matches when it met the
+    table at least once and no entry mismatched.
     """
     compared = 0
     mismatches = []
@@ -144,4 +132,4 @@ def compare_with_table(sequence_id: str, bf: BFile, values: Sequence[int]) -> Se
             compared += 1
             if value != values[n]:
                 mismatches.append(f"{sequence_id} term {n} = {value} != table value {values[n]}")
-    return SequenceComparison(sequence_id, compared, tuple(mismatches))
+    return compared, tuple(mismatches)

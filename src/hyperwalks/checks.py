@@ -2,7 +2,10 @@
 
 Each suite compares independent computation paths cell by cell and reports
 disagreements as data rather than exceptions, so one corrupted constant cannot
-hide behind a crash.  Reports are deterministic: same inputs, same bytes.
+hide behind a crash.  Every suite is one entry of `SUITES`, and every route
+function is looked up through its module at call time, so a replaced module
+attribute is seen by every suite.  Reports are deterministic: same inputs,
+same bytes.
 """
 
 from __future__ import annotations
@@ -10,16 +13,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import ConsistencyError, LanguageSpec, StepVector, step_alphabet
-from . import formulas, oracle, series
-from .formulas import cross_ratio_check
-from .oracle import DEFAULT_BUDGET, count_dp, count_dp_first_step
-from .series import asymptotic_ratio
-from .bijection import count_E_double_prime, verify_bijection
-
-SUITE_NAMES = ("methods", "ratios", "symmetry", "bijection", "asymptotics")
+from . import bijection, formulas, oracle, series
+from .core import ConsistencyError, LanguageSpec, step_alphabet
+from .oracle import DEFAULT_BUDGET
 
 ASYMPTOTIC_SCHEDULE = (500, 1000, 2000, 4000)
 ASYMPTOTIC_TOLERANCE = 0.01
@@ -111,36 +109,19 @@ class CheckCell:
 
 @dataclass(frozen=True)
 class CheckReport:
+    """The cells of one check, in `CheckCell.sort_key` order."""
+
     cells: tuple[CheckCell, ...]
 
     @property
-    def disagreements(self) -> tuple[CheckCell, ...]:
-        return tuple(c for c in self.cells if not c.agree)
-
-    @property
     def ok(self) -> bool:
-        return not self.disagreements
-
-    def summary(self) -> dict:
-        return {"cells": len(self.cells), "disagreements": len(self.disagreements)}
+        return all(c.agree for c in self.cells)
 
     def to_json(self) -> str:
-        payload = {
-            "cells": [
-                {
-                    "suite": c.suite,
-                    "language": c.language,
-                    "r": c.r,
-                    "n": c.n,
-                    "detail": c.detail,
-                    "agree": c.agree,
-                    "values": list(c.values),
-                }
-                for c in sorted(self.cells, key=CheckCell.sort_key)
-            ],
-            "summary": self.summary(),
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        summary = {"cells": len(self.cells), "disagreements": sum(not c.agree for c in self.cells)}
+        return json.dumps(
+            {"cells": [vars(c) for c in self.cells], "summary": summary}, sort_keys=True, indent=2
+        )
 
     def render(self) -> str:
         lines = []
@@ -151,165 +132,141 @@ class CheckReport:
             cells = by_suite[suite]
             bad = [c for c in cells if not c.agree]
             lines.append(f"[{suite}] {len(cells)} cells, {len(bad)} disagreements")
-            for cell in sorted(bad, key=CheckCell.sort_key):
+            for cell in bad:
                 values = f" values={list(cell.values)}" if cell.values else ""
                 lines.append(
                     f"  FAIL {cell.language} r={cell.r} n={cell.n} {cell.detail}{values}"
                 )
-        summary = self.summary()
-        verdict = "OK" if self.ok else "FAIL"
-        lines.append(
-            f"{verdict}: {summary['cells']} cells checked, {summary['disagreements']} disagreements"
-        )
+        failed = sum(not c.agree for c in self.cells)
+        verdict = "FAIL" if failed else "OK"
+        lines.append(f"{verdict}: {len(self.cells)} cells checked, {failed} disagreements")
         return "\n".join(lines)
 
 
-def _cell(suite, language, r, n, detail, agree, values=()):
-    return CheckCell(suite, language, r, n, detail, bool(agree), tuple(str(v) for v in values))
+#: One comparison before it becomes a cell: (language, r, n, detail, agree,
+#: values), where the values are shown only if the comparison fails.
+Row = tuple[str, int, int, str, bool, Sequence]
 
 
-def _error_cell(suite, language, r, n, detail, exc):
-    return _cell(suite, language, r, n, f"{detail} error: {exc}", False)
+def _guarded(language: str, r: int, n: int, detail: str, rows: Iterable[Row]) -> Iterator[Row]:
+    """The rows of one unit of work.
+
+    `rows` must be a generator, so that the unit's work runs inside the guard.
+    An exception ends the unit, after the rows it already gave, with one failed
+    row (language, r, n, "<detail> error: <exc>"), and the suite goes on with
+    its next unit, so one broken route cannot hide the others.
+    """
+    try:
+        yield from rows
+    except Exception as exc:  # the failure is data: a failed cell
+        yield language, r, n, f"{detail} error: {exc}", False, ()
 
 
-def run_methods_suite(
-    r_values: Sequence[int], n_max: int, budget: int = DEFAULT_BUDGET
-) -> list[CheckCell]:
+def _methods_suite(r_values, n_max, budget):
     """The closed form against every other route, on each route's checked n-range."""
     _census.cache_clear()  # every check counts afresh
-    cells: list[CheckCell] = []
     for r in r_values:
         for lid in "ABCDEF":
             spec = LanguageSpec(lid, r)
-            try:
-                reference = ROUTES["closed"].values(spec, range(n_max + 1), budget)
-            except Exception as exc:  # keep checking other families
-                cells.append(_error_cell("methods", lid, r, 0, "closed", exc))
-                continue
-            for name, route in ROUTES.items():
-                ns = [n for n in range(n_max + 1) if route.checked(spec, n, budget)]
-                if name == "closed" or not ns:
-                    continue
-                try:
-                    values = route.values(spec, ns, budget)
-                except Exception as exc:  # keep checking other routes
-                    cells.append(_error_cell("methods", lid, r, 0, name, exc))
-                    continue
-                for n, value in zip(ns, values):
-                    agree = value == reference[n]
-                    shown = () if agree else (reference[n], value)
-                    cells.append(_cell("methods", lid, r, n, f"closed-vs-{name}", agree, shown))
-    return cells
+            yield from _guarded(lid, r, 0, "closed", _against_closed(spec, n_max, budget))
 
 
-def run_ratios_suite(r_values: Sequence[int], n_max: int) -> list[CheckCell]:
+def _against_closed(spec, n_max, budget):
+    """Every other route against the closed form, one guarded unit per route."""
+    reference = ROUTES["closed"].values(spec, range(n_max + 1), budget)
+    for name, route in ROUTES.items():
+        ns = [n for n in range(n_max + 1) if route.checked(spec, n, budget)]
+        if name != "closed" and ns:
+            rows = _compare(spec, name, ns, reference, budget)
+            yield from _guarded(spec.id, spec.r, 0, name, rows)
+
+
+def _compare(spec, name, ns, reference, budget):
+    for n, value in zip(ns, ROUTES[name].values(spec, ns, budget)):
+        yield spec.id, spec.r, n, f"closed-vs-{name}", value == reference[n], (reference[n], value)
+
+
+def _ratios_suite(r_values, n_max, budget):
     """The exact 2^r b_n = (2^r-1) c_n and 2^r e_n = (2^r-1) f_n identities."""
-    cells: list[CheckCell] = []
     for r in r_values:
-        if r < 1:
-            continue
-        try:
-            violations = cross_ratio_check(r, n_max)
-        except Exception as exc:
-            cells.append(_error_cell("ratios", "B", r, 0, "ratio-check", exc))
-            continue
-        cells.append(
-            _cell("ratios", "B", r, n_max, "b-vs-c-and-e-vs-f", not violations, violations)
-        )
-    return cells
+        if r >= 1:
+            yield from _guarded("B", r, 0, "ratio-check", _ratio_identities(r, n_max))
 
 
-def _allowed_first_steps(spec: LanguageSpec) -> list[StepVector]:
-    steps = step_alphabet(spec.r)
-    if spec.halfspace:
-        return [s for s in steps if s.tracked == 1]
-    return list(steps)
+def _ratio_identities(r, n_max):
+    violations = formulas.cross_ratio_check(r, n_max)
+    yield "B", r, n_max, "b-vs-c-and-e-vs-f", not violations, violations
 
 
-def run_symmetry_suite(r_values: Sequence[int], n_max: int) -> list[CheckCell]:
-    """First-step counts must be equal across allowed first steps and sum to the total."""
-    cells: list[CheckCell] = []
-    cap = min(n_max, 10)
+def _symmetry_suite(r_values, n_max, budget):
+    """First-step counts must be equal across allowed first steps and sum to the
+    total; a half-space walk never starts downward."""
     for r in r_values:
         for lid in "BCEF":
             spec = LanguageSpec(lid, r)
-            for n in range(1, cap + 1):
-                try:
-                    total = count_dp(spec, n)
-                    allowed = _allowed_first_steps(spec)
-                    counts = [count_dp_first_step(spec, n, s) for s in allowed]
-                    equal = len(set(counts)) == 1
-                    sums = sum(counts) == total
-                    blocked_ok = True
-                    if spec.halfspace:
-                        blocked = [
-                            count_dp_first_step(spec, n, s)
-                            for s in step_alphabet(r)
-                            if s.tracked == -1
-                        ]
-                        blocked_ok = all(v == 0 for v in blocked)
-                    agree = equal and sums and blocked_ok
-                    cells.append(
-                        _cell(
-                            "symmetry", lid, r, n, "first-step-split",
-                            agree, () if agree else (total, *counts),
-                        )
-                    )
-                except Exception as exc:
-                    cells.append(_error_cell("symmetry", lid, r, n, "first-step-split", exc))
-    return cells
+            for n in range(1, min(n_max, 10) + 1):
+                yield from _guarded(lid, r, n, "first-step-split", _first_step_split(spec, n))
 
 
-def run_bijection_suite(n_max: int) -> list[CheckCell]:
-    """Exhaustive bijection verification plus the halved-count identity."""
-    cells: list[CheckCell] = []
+def _first_step_split(spec, n):
+    total = oracle.count_dp(spec, n)
+    allowed, blocked = [], []
+    for step in step_alphabet(spec.r):
+        counts = blocked if spec.halfspace and step.tracked == -1 else allowed
+        counts.append(oracle.count_dp_first_step(spec, n, step))
+    agree = len(set(allowed)) == 1 and sum(allowed) == total and not any(blocked)
+    yield spec.id, spec.r, n, "first-step-split", agree, (total, *allowed)
+
+
+def _bijection_suite(r_values, n_max, budget):
+    """Exhaustive bijection verification plus the halved-count identity, at r = 1."""
     for n in range(1, min(n_max, 6) + 1):
-        try:
-            failures = verify_bijection(n)
-            cells.append(_cell("bijection", "E", 1, n, "round-trip", not failures, failures[:4]))
-        except Exception as exc:
-            cells.append(_error_cell("bijection", "E", 1, n, "round-trip", exc))
-    try:
-        table = formulas.recurrence_seq(LanguageSpec("E", 1), min(n_max, 10))
-        for n in range(1, min(n_max, 10) + 1):
-            paths = count_E_double_prime(n)
-            agree = 2 * paths == table[n]
-            cells.append(
-                _cell(
-                    "bijection", "E", 1, n, "paths-equal-half-count",
-                    agree, () if agree else (table[n], paths),
-                )
-            )
-    except Exception as exc:
-        cells.append(_error_cell("bijection", "E", 1, 0, "paths-equal-half-count", exc))
-    return cells
+        yield from _guarded("E", 1, n, "round-trip", _round_trip(n))
+    yield from _guarded("E", 1, 0, "paths-equal-half-count", _half_counts(min(n_max, 10)))
 
 
-def run_asymptotics_suite(r_values: Sequence[int]) -> list[CheckCell]:
+def _round_trip(n):
+    failures = bijection.verify_bijection(n)
+    yield "E", 1, n, "round-trip", not failures, failures[:4]
+
+
+def _half_counts(n_max):
+    table = formulas.recurrence_seq(LanguageSpec("E", 1), n_max)
+    for n in range(1, n_max + 1):
+        paths = bijection.count_E_double_prime(n)
+        yield "E", 1, n, "paths-equal-half-count", 2 * paths == table[n], (table[n], paths)
+
+
+def _asymptotics_suite(r_values, n_max, budget):
     """Deviation |count/estimate - 1| must shrink along ASYMPTOTIC_SCHEDULE and end small."""
-    cells: list[CheckCell] = []
     for r in r_values:
-        if r not in (1, 2):
-            continue
-        for lid in "BCEF":
-            spec = LanguageSpec(lid, r)
-            try:
-                table = formulas.recurrence_seq(spec, ASYMPTOTIC_SCHEDULE[-1])
-                deviations = [
-                    abs(asymptotic_ratio(spec, n, count=table[n]) - 1.0) for n in ASYMPTOTIC_SCHEDULE
-                ]
-                shrinking = all(b < a for a, b in zip(deviations, deviations[1:]))
-                small = deviations[-1] <= ASYMPTOTIC_TOLERANCE
-                agree = shrinking and small
-                cells.append(
-                    _cell(
-                        "asymptotics", lid, r, ASYMPTOTIC_SCHEDULE[-1], "deviation-shrinks",
-                        agree, () if agree else tuple(f"{d:.3e}" for d in deviations),
-                    )
-                )
-            except Exception as exc:
-                cells.append(_error_cell("asymptotics", lid, r, 0, "deviation-shrinks", exc))
-    return cells
+        if r in (1, 2):
+            for lid in "BCEF":
+                rows = _deviations(LanguageSpec(lid, r))
+                yield from _guarded(lid, r, 0, "deviation-shrinks", rows)
+
+
+def _deviations(spec):
+    table = formulas.recurrence_seq(spec, ASYMPTOTIC_SCHEDULE[-1])
+    deviations = [
+        abs(series.asymptotic_ratio(spec, n, count=table[n]) - 1.0) for n in ASYMPTOTIC_SCHEDULE
+    ]
+    shrinking = all(b < a for a, b in zip(deviations, deviations[1:]))
+    agree = shrinking and deviations[-1] <= ASYMPTOTIC_TOLERANCE
+    yield (spec.id, spec.r, ASYMPTOTIC_SCHEDULE[-1], "deviation-shrinks", agree,
+           [f"{d:.3e}" for d in deviations])
+
+
+#: Every check suite by name, in the order `check --suites` lists them.  Each
+#: takes (r_values, n_max, budget) and gives its rows.
+SUITES: dict[str, Callable[[Sequence[int], int, int], Iterable[Row]]] = {
+    "methods": _methods_suite,
+    "ratios": _ratios_suite,
+    "symmetry": _symmetry_suite,
+    "bijection": _bijection_suite,
+    "asymptotics": _asymptotics_suite,
+}
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_check(
@@ -323,20 +280,16 @@ def run_check(
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if not suites:
         raise ValueError(f"no suites given; choose from {SUITE_NAMES}")
-    unknown = [s for s in suites if s not in SUITE_NAMES]
+    unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
-    cells: list[CheckCell] = []
-    if "methods" in suites:
-        cells.extend(run_methods_suite(r_values, n_max, budget))
-    if "ratios" in suites:
-        cells.extend(run_ratios_suite(r_values, n_max))
-    if "symmetry" in suites:
-        cells.extend(run_symmetry_suite(r_values, n_max))
-    if "bijection" in suites:
-        cells.extend(run_bijection_suite(n_max))
-    if "asymptotics" in suites:
-        cells.extend(run_asymptotics_suite(r_values))
+    cells = [
+        CheckCell(name, language, r, n, detail, bool(agree),
+                  () if agree else tuple(str(v) for v in values))
+        for name, suite in SUITES.items()
+        if name in suites
+        for language, r, n, detail, agree, values in suite(r_values, n_max, budget)
+    ]
     if not cells:
         raise ValueError(
             f"suites {','.join(suites)} have no cell to compare at r {r_values}, n_max {n_max}"

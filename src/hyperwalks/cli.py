@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 from .core import BudgetExceeded, LanguageSpec, LANGUAGE_IDS
 from .bfile import SequenceNotFound, bfile_emit, oeis_fetch
-from .checks import DEFAULT_BUDGET, ROUTES, SUITE_NAMES, run_check
+from .checks import DEFAULT_BUDGET, ROUTES, SUITES, run_check
 
 METHODS = tuple(ROUTES)
 
@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--r", default="1..2", help="r range, e.g. 2 or 1..3")
     p_check.add_argument("--n-max", type=int, default=20)
     p_check.add_argument("--suites", default="methods,ratios",
-                         help=f"comma-separated subset of {','.join(SUITE_NAMES)}")
+                         help=f"comma-separated subset of {','.join(SUITES)}")
     p_check.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_check.add_argument("--json", metavar="PATH", default=None,
                          help="also write the JSON report to PATH ('-' for stdout)")
@@ -132,9 +132,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             if args.n_max < 0:
                 raise UsageError(f"--n-max must be nonnegative, got {args.n_max}")
             suites = tuple(s for s in args.suites.split(",") if s)
-            if not suites or set(suites) - set(SUITE_NAMES):
+            if not suites or set(suites) - set(SUITES):
                 raise UsageError(
-                    f"--suites takes a subset of {','.join(SUITE_NAMES)}, got {args.suites!r}"
+                    f"--suites takes a subset of {','.join(SUITES)}, got {args.suites!r}"
                 )
             r_values = _parse_r_range(args.r)
             if args.json not in (None, "-"):

@@ -37,6 +37,8 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     Candidates are generated in lexicographic order of their text encoding, so
     the output order is deterministic.  Refuses grids larger than the budget.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     alphabet = step_alphabet(spec.r)
     candidates = len(alphabet) ** (2 * n)
     if candidates > budget:

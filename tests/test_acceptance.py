@@ -316,9 +316,9 @@ def test_criterion_10_machine_fidelity():
 
 def test_criterion_11_oeis_fixtures():
     e = recurrence_seq(LanguageSpec("E", 1), 60)
-    gating = compare_with_table("A086871", oeis_fetch("A086871"), e)
-    report(11, gating.ok,
-           f"bundled A086871 matches e_n (r=1): {gating.compared} terms")
+    compared, mismatches = compare_with_table("A086871", oeis_fetch("A086871"), e)
+    gating = compared > 0 and not mismatches
+    report(11, gating, f"bundled A086871 matches e_n (r=1): {compared} terms")
 
     # informational only: the remaining cross-references, including the
     # resolution of the double assignment of A082298
@@ -331,8 +331,7 @@ def test_criterion_11_oeis_fixtures():
         ("A085363", b, "b_n (r=1)"),
         ("A059231", halves, "e_n/2 (r=1)"),
     ):
-        comparison = compare_with_table(sid, oeis_fetch(sid), values)
-        verdict = "matches" if comparison.ok else "does not match"
-        print(f"    info: {sid} {verdict} {label} "
-              f"({comparison.compared} terms)")
-    assert gating.ok
+        compared, mismatches = compare_with_table(sid, oeis_fetch(sid), values)
+        verdict = "matches" if compared > 0 and not mismatches else "does not match"
+        print(f"    info: {sid} {verdict} {label} ({compared} terms)")
+    assert gating

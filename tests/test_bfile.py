@@ -87,21 +87,22 @@ def test_fetch_unknown_sequence():
 
 def test_compare_alignment_offset_zero():
     e = recurrence_seq(LanguageSpec("E", 1), 12)
-    comparison = compare_with_table("A086871", oeis_fetch("A086871"), e)
+    compared, mismatches = compare_with_table("A086871", oeis_fetch("A086871"), e)
     # the b-file starts at index 1, so it meets the table at n = 1..12
-    assert comparison.ok
-    assert comparison.compared == 12
+    assert mismatches == ()
+    assert compared == 12
 
 
 def test_compare_alignment_offset_one():
     f = recurrence_seq(LanguageSpec("F", 1), 12)
-    comparison = compare_with_table("A082298", oeis_fetch("A082298"), f)
+    compared, mismatches = compare_with_table("A082298", oeis_fetch("A082298"), f)
     # the b-file starts at index 0, so n = 0 is compared too
-    assert comparison.ok
-    assert comparison.compared == 13
+    assert mismatches == ()
+    assert compared == 13
 
 
 def test_compare_detects_mismatch():
     b = recurrence_seq(LanguageSpec("B", 1), 12)
-    comparison = compare_with_table("A082298", oeis_fetch("A082298"), b)
-    assert not comparison.ok
+    compared, mismatches = compare_with_table("A082298", oeis_fetch("A082298"), b)
+    assert compared == 13
+    assert mismatches

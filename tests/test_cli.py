@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 
 import hyperwalks
+import hyperwalks.bijection as bijection_module
 import hyperwalks.formulas as formulas_module
 import hyperwalks.oracle as oracle_module
 import hyperwalks.series as series_module
 from hyperwalks import ConsistencyError
 from hyperwalks.cli import main
-from hyperwalks.checks import ROUTES, run_check
+from hyperwalks.checks import ROUTES, CheckCell, CheckReport, run_check
 from hyperwalks.formulas import recurrence_spec
 
 
@@ -220,6 +221,73 @@ def test_check_detects_each_corrupted_route(capsys, monkeypatch, route):
     code, out, _ = run(capsys, "check", "--r", "1", "--n-max", "4", "--suites", "methods")
     assert code == 1
     assert "FAIL" in out
+
+
+# Each suite's own route function, a corruption of what it returns, and a
+# check that runs the suite.
+SUITE_CORRUPTIONS = {
+    "symmetry": (oracle_module, "count_dp_first_step", lambda value: value + 1,
+                 ("--r", "1", "--n-max", "3")),
+    "ratios": (formulas_module, "cross_ratio_check", lambda found: found + ("corrupted",),
+               ("--r", "1", "--n-max", "4")),
+    "bijection": (bijection_module, "verify_bijection", lambda found: found + ("corrupted",),
+                  ("--n-max", "2")),
+    "asymptotics": (series_module, "asymptotic_ratio", lambda ratio: ratio * 1.1, ("--r", "1")),
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_CORRUPTIONS)
+def test_check_detects_each_corrupted_suite_function(capsys, monkeypatch, suite):
+    module, name, corrupt, argv = SUITE_CORRUPTIONS[suite]
+    good = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: corrupt(good(*args, **kwargs)))
+    code, out, _ = run(capsys, "check", "--suites", suite, *argv)
+    assert code == 1
+    assert f"[{suite}]" in out
+    assert "FAIL" in out
+
+
+def test_check_report_format():
+    report = CheckReport((
+        CheckCell("methods", "B", 1, 2, "closed-vs-dp", True),
+        CheckCell("ratios", "B", 1, 3, "b-vs-c-and-e-vs-f", False, ("28", "29")),
+    ))
+    assert not report.ok
+    assert report.render() == (
+        "[methods] 1 cells, 0 disagreements\n"
+        "[ratios] 1 cells, 1 disagreements\n"
+        "  FAIL B r=1 n=3 b-vs-c-and-e-vs-f values=['28', '29']\n"
+        "FAIL: 2 cells checked, 1 disagreements"
+    )
+    assert report.to_json() == """{
+  "cells": [
+    {
+      "agree": true,
+      "detail": "closed-vs-dp",
+      "language": "B",
+      "n": 2,
+      "r": 1,
+      "suite": "methods",
+      "values": []
+    },
+    {
+      "agree": false,
+      "detail": "b-vs-c-and-e-vs-f",
+      "language": "B",
+      "n": 3,
+      "r": 1,
+      "suite": "ratios",
+      "values": [
+        "28",
+        "29"
+      ]
+    }
+  ],
+  "summary": {
+    "cells": 2,
+    "disagreements": 1
+  }
+}"""
 
 
 def test_optimized_interpreter_catches_corrupted_recurrence_start():

@@ -57,6 +57,22 @@ def test_import_scan_sees_relative_imports():
     assert "formulas" in imported_modules("checks")
 
 
+def test_checks_binds_no_route_function():
+    # checks looks every route function up through its module at call time,
+    # so a replaced module attribute reaches every suite; only constants
+    # may be imported by name.
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and node.module.split(".")[-1] in {"formulas", "series", "oracle", "bijection"}
+        for alias in node.names
+    ]
+    assert "DEFAULT_BUDGET" in names
+    assert [name for name in names if not name.isupper()] == []
+
+
 def traced_functions() -> tuple[tuple[str, str], ...]:
     """The (module, function) pairs walkbench/spans.py wraps with `--trace 1`."""
     spans = Path(__file__).resolve().parents[1] / "walkbench" / "spans.py"

@@ -217,8 +217,9 @@ def test_count_dp_multi_budget_refusal():
         lambda n: count_dp_multi(1, 0, n, False),
         lambda n: count_dp_multi(2, 1, n, True),
         lambda n: naive_census(1, n),
+        lambda n: enumerate_words(LanguageSpec("A", 1), n),
     ],
-    ids=["count_dp", "count_dp_multi_j0", "count_dp_multi_j1", "naive_census"],
+    ids=["count_dp", "count_dp_multi_j0", "count_dp_multi_j1", "naive_census", "enumerate_words"],
 )
 @pytest.mark.parametrize("n", [-1, -1000])
 def test_negative_n_is_rejected(count, n):

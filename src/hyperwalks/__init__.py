@@ -59,13 +59,12 @@ from .bijection import (
     run_decompose,
     verify_bijection,
 )
-from .bfile import BFile, bfile_emit, bfile_parse, compare_with_table, oeis_fetch
+from .bfile import bfile_emit, bfile_parse, oeis_fetch
 from .checks import run_check
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFile",
     "BijectionDomainError",
     "BudgetExceeded",
     "ConsistencyError",
@@ -90,7 +89,6 @@ __all__ = [
     "catalan",
     "central_binomial",
     "closed_form",
-    "compare_with_table",
     "count_E_double_prime",
     "count_dp",
     "count_dp_first_step",

@@ -13,17 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ConsistencyError, LanguageSpec, StepVector, Word
+from .core import ConsistencyError, LanguageSpec, StepVector, Word, step_alphabet
 from .automata import recognize
 
 E_LANGUAGE = LanguageSpec("E", 1)
 
-_ALPHABET = (
-    StepVector((1, 1)),
-    StepVector((1, -1)),
-    StepVector((-1, 1)),
-    StepVector((-1, -1)),
-)
+_ALPHABET = step_alphabet(1)
 FIRST_STEP = _ALPHABET[0]
 
 

@@ -156,8 +156,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
                     print(report.to_json(), file=out)
             return 0 if report.ok else 1
         if args.command == "oeis":
-            bf = oeis_fetch(args.sequence_id, cache_dir=args.cache_dir)
-            for index, value in bf.entries:
+            for index, value in oeis_fetch(args.sequence_id, cache_dir=args.cache_dir):
                 print(f"{index} {value}")
             return 0
     except (ValueError, BudgetExceeded, SequenceNotFound) as exc:

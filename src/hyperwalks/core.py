@@ -81,14 +81,6 @@ class StepVector:
     def negate(self) -> "StepVector":
         return _negation(self.coords)
 
-    def flip(self, i: int) -> "StepVector":
-        """Negate coordinate i (1-based); an involution for each i."""
-        if not 1 <= i <= self.dimension:
-            raise IndexError(f"coordinate index {i} out of range 1..{self.dimension}")
-        c = list(self.coords)
-        c[i - 1] = -c[i - 1]
-        return StepVector(tuple(c))
-
     def text(self) -> str:
         return "".join("+" if c == 1 else "-" for c in self.coords)
 

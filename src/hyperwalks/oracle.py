@@ -31,6 +31,22 @@ from .automata import recognize
 DEFAULT_BUDGET = 1 << 22
 
 
+def _refuse_over_budget(what: str, r: int, n: int, budget: int) -> None:
+    """Raise BudgetExceeded if the (2^(r+1))^(2n) candidate words exceed the budget.
+
+    Their number is 2^e with e = (r+1) 2n, which exceeds the budget exactly
+    when e reaches the budget's bit length, so neither the decision nor the
+    message builds a number of more than 20 digits.
+    """
+    exponent = (r + 1) * 2 * n
+    if exponent < max(budget, 0).bit_length():
+        return
+    count = f"{1 << (r + 1)}^{2 * n}"
+    if exponent < 67:  # 2^66 has 20 digits
+        count += f" = {1 << exponent}"
+    raise BudgetExceeded(f"{what} needs {count} candidate words, budget is {budget}")
+
+
 def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) -> list[Word]:
     """All members of length 2n, by filtering every candidate word.
 
@@ -39,14 +55,9 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    alphabet = step_alphabet(spec.r)
-    candidates = len(alphabet) ** (2 * n)
-    if candidates > budget:
-        raise BudgetExceeded(
-            f"naive enumeration needs {candidates} candidate words, budget is {budget}"
-        )
+    _refuse_over_budget("naive enumeration", spec.r, n, budget)
     result = []
-    for steps in itertools.product(alphabet, repeat=2 * n):
+    for steps in itertools.product(step_alphabet(spec.r), repeat=2 * n):
         w = Word(steps)
         if recognize(spec, w):
             result.append(w)
@@ -97,13 +108,9 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:
         return {lid: 1 for lid in "ABCDEF"}
+    _refuse_over_budget("naive census", r, n, budget)
     size = 1 << (r + 1)
     length = 2 * n
-    total = size ** length
-    if total > budget:
-        raise BudgetExceeded(
-            f"naive census needs {total} candidate words, budget is {budget}"
-        )
     digits = np.arange(size, dtype=np.min_scalar_type(size - 1))
     signs = np.where(digits >> r & 1, -1, 1).astype(np.int16)
     tail = 0

@@ -3,15 +3,15 @@
 The generating function of each family is algebraic; this module expands the
 published closed forms in exact rational arithmetic, one coefficient at a time
 from the first-order differential equation each product of square roots
-satisfies, and packages each family's dominant singularity, exponent, and
-constant so the asymptotic estimate count_n ~ C rho^(-n) n^(alpha-1) / Gamma(alpha)
-can be evaluated in log space at any n.
+satisfies.  Each family's dominant singularity rho, exponent alpha and
+constant C are a plain (rho, alpha, C) tuple, and the asymptotic estimate
+count_n ~ C rho^(-n) n^(alpha-1) / Gamma(alpha) is evaluated in log space, so
+it holds at any n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -103,72 +103,31 @@ def gf_series(spec: LanguageSpec, N: int) -> tuple[Fraction, ...]:
     return _shift_down(root, m, 2 * (q - 1) ** 2)
 
 
-@dataclass(frozen=True)
-class AsymptoticForm:
-    """Singularity data (rho, alpha, C) with C stored as scale * sqrt(radicand).
+def asymptotic_form(spec: LanguageSpec) -> tuple[Fraction, Fraction, float]:
+    """Dominant singularity rho, exponent alpha, and constant C for one family.
 
-    The estimate at n is C * rho^(-n) * n^(alpha-1) / Gamma(alpha); only
-    alpha = 1/2 and alpha = -1/2 occur, so Gamma(alpha) is sqrt(pi) or
-    -2 sqrt(pi).
+    The estimate at n is C rho^(-n) n^(alpha-1) / Gamma(alpha); C is
+    scale * sqrt(radicand) with the family's rational scale and radicand.
     """
-
-    rho: Fraction
-    alpha: Fraction
-    scale: Fraction
-    radicand: Fraction
-
-    def __post_init__(self):
-        if self.alpha not in (Fraction(1, 2), Fraction(-1, 2)):
-            raise ValueError(f"unsupported exponent alpha={self.alpha}")
-        if (self.scale < 0) != (self.gamma_alpha < 0):
-            raise ConsistencyError("the estimate of a positive sequence must be positive")
-
-    @property
-    def gamma_alpha(self) -> float:
-        return math.sqrt(math.pi) if self.alpha == Fraction(1, 2) else -2.0 * math.sqrt(math.pi)
-
-    @property
-    def constant(self) -> float:
-        return float(self.scale) * math.sqrt(float(self.radicand))
-
-    def log_value(self, n: int) -> float:
-        """Natural log of the (positive) estimate at n, overflow-free."""
-        if n < 1:
-            raise ValueError("asymptotic evaluation needs n >= 1")
-        return (
-            math.log(abs(self.scale))
-            + 0.5 * math.log(self.radicand)
-            + n * (math.log(self.rho.denominator) - math.log(self.rho.numerator))
-            + (float(self.alpha) - 1.0) * math.log(n)
-            - math.log(abs(self.gamma_alpha))
-        )
-
-    def value(self, n: int) -> float:
-        """The estimate itself; overflows float range for large n (use log_value)."""
-        return math.exp(self.log_value(n))
-
-
-def asymptotic_form(spec: LanguageSpec) -> AsymptoticForm:
-    """Dominant singularity, exponent, and constant for one family."""
     r = spec.r
     lid = spec.id
     if lid == "A":
-        return AsymptoticForm(Fraction(1, 4 ** (r + 1)), Fraction(1, 2), Fraction(1), Fraction(1))
+        return Fraction(1, 4 ** (r + 1)), HALF, 1.0
     if lid == "D":
-        return AsymptoticForm(Fraction(1, 4 ** (r + 1)), Fraction(-1, 2), Fraction(-2), Fraction(1))
+        return Fraction(1, 4 ** (r + 1)), -HALF, -2.0
     if r < 1:
         raise ValueError(f"no asymptotic form for {spec}: the r=0 families are eventually constant")
     q = 2 ** r
     m = 2 * q - 1
     rho = Fraction(1, m * m)
-    radicand = Fraction(m * m - 1)
+    root = math.sqrt(m * m - 1)
     if lid == "B":
-        return AsymptoticForm(rho, Fraction(1, 2), Fraction(1, m), radicand)
+        return rho, HALF, 1 / m * root
     if lid == "C":
-        return AsymptoticForm(rho, Fraction(1, 2), Fraction(q, (q - 1) * m), radicand)
+        return rho, HALF, q / ((q - 1) * m) * root
     if lid == "E":
-        return AsymptoticForm(rho, Fraction(-1, 2), Fraction(-m, 2 ** (r + 1) * (q - 1)), radicand)
-    return AsymptoticForm(rho, Fraction(-1, 2), Fraction(-m, 2 * (q - 1) ** 2), radicand)
+        return rho, -HALF, -m / (2 ** (r + 1) * (q - 1)) * root
+    return rho, -HALF, -m / (2 * (q - 1) ** 2) * root
 
 
 def asymptotic_ratio(spec: LanguageSpec, n: int, count: int) -> float:
@@ -177,5 +136,9 @@ def asymptotic_ratio(spec: LanguageSpec, n: int, count: int) -> float:
         raise ValueError("asymptotic ratio needs n >= 1")
     if count <= 0:
         raise ValueError(f"count for {spec} at n={n} is not positive")
-    form = asymptotic_form(spec)
-    return math.exp(math.log(count) - form.log_value(n))
+    rho, alpha, constant = asymptotic_form(spec)
+    weight = constant / math.gamma(alpha)
+    if weight <= 0:
+        raise ConsistencyError(f"the estimate for {spec} is not positive")
+    log_estimate = math.log(weight) - n * math.log(rho) + (alpha - 1) * math.log(n)
+    return math.exp(math.log(count) - log_estimate)

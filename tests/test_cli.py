@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -70,6 +71,13 @@ def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "A", "--r", "2", "--n", "9", "--method", "naive")
     assert code == 2
     assert "budget" in err
+
+
+def test_count_naive_refusal_is_short(capsys):
+    code, _, err = run(capsys, "count", "B", "--r", "1", "--n", "100000", "--method", "naive")
+    assert code == 2
+    assert "budget" in err
+    assert len(err) < 200
 
 
 requires_digit_limit = pytest.mark.skipif(
@@ -244,6 +252,18 @@ def test_check_detects_each_corrupted_suite_function(capsys, monkeypatch, suite)
     code, out, _ = run(capsys, "check", "--suites", suite, *argv)
     assert code == 1
     assert f"[{suite}]" in out
+    assert "FAIL" in out
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rho, alpha, constant: (rho, alpha, -constant),  # a negative estimate
+    lambda rho, alpha, constant: (rho * Fraction(9, 10), alpha, constant),  # 1/9 to 1/10
+], ids=["constant-sign", "rho"])
+def test_check_detects_corrupted_asymptotic_form(capsys, monkeypatch, corrupt):
+    good = series_module.asymptotic_form
+    monkeypatch.setattr(series_module, "asymptotic_form", lambda spec: corrupt(*good(spec)))
+    code, out, _ = run(capsys, "check", "--suites", "asymptotics", "--r", "1")
+    assert code == 1
     assert "FAIL" in out
 
 

@@ -54,23 +54,6 @@ def test_negate_examples_and_involution():
         assert s.negate().negate() == s
 
 
-def test_flip_coordinate():
-    assert StepVector((1, 1)).flip(1) == StepVector((-1, 1))
-    assert StepVector((1, -1, 1)).flip(3) == StepVector((1, -1, -1))
-    with pytest.raises(IndexError):
-        StepVector((1, 1)).flip(3)
-    with pytest.raises(IndexError):
-        StepVector((1, 1)).flip(0)
-
-
-def test_flip_involution_and_commutation():
-    for s in step_alphabet(2):
-        for i in range(1, 4):
-            assert s.flip(i).flip(i) == s
-            for k in range(1, 4):
-                assert s.flip(i).flip(k) == s.flip(k).flip(i)
-
-
 def test_word_round_trip():
     text = "++,--,+-"
     assert parse_word(text, 1).text() == text

@@ -73,6 +73,13 @@ def test_checks_binds_no_route_function():
     assert [name for name in names if not name.isupper()] == []
 
 
+def test_library_has_no_assert():
+    # every invariant raises ConsistencyError, which python -O keeps
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path.name
+
+
 def traced_functions() -> tuple[tuple[str, str], ...]:
     """The (module, function) pairs walkbench/spans.py wraps with `--trace 1`."""
     spans = Path(__file__).resolve().parents[1] / "walkbench" / "spans.py"

@@ -156,6 +156,18 @@ def test_naive_census_budget_refusal():
         naive_census(2, 10, budget=1000)
 
 
+@pytest.mark.parametrize("scan", [
+    lambda: naive_census(1, 10_000, budget=100),
+    lambda: enumerate_words(LanguageSpec("A", 1), 10_000, budget=100),
+], ids=["naive_census", "enumerate_words"])
+def test_budget_refusal_of_a_huge_scan(scan):
+    # 4^20000 has over 12,000 digits: the refusal names it, never prints it
+    with pytest.raises(BudgetExceeded) as err:
+        scan()
+    assert "4^20000" in str(err.value)
+    assert len(str(err.value)) < 200
+
+
 def test_first_step_examples():
     assert count_dp_first_step(LanguageSpec("E", 1), 2, StepVector((1, 1))) == 5
     assert count_dp_first_step(LanguageSpec("B", 1), 1, StepVector((1, -1))) == 1

@@ -71,18 +71,11 @@ def test_gf_series_matches_recurrence(lid, r):
 
 
 def test_asymptotic_form_examples():
-    b = asymptotic_form(LanguageSpec("B", 1))
-    assert b.rho == Fraction(1, 9)
-    assert b.alpha == Fraction(1, 2)
-    assert math.isclose(b.constant, math.sqrt(8) / 3)
-
-    a = asymptotic_form(LanguageSpec("A", 0))
-    assert a.rho == Fraction(1, 4)
-    assert a.alpha == Fraction(1, 2)
-
-    f = asymptotic_form(LanguageSpec("F", 1))
-    assert f.rho == Fraction(1, 9)
-    assert f.alpha == Fraction(-1, 2)
+    rho, alpha, constant = asymptotic_form(LanguageSpec("B", 1))
+    assert (rho, alpha) == (Fraction(1, 9), Fraction(1, 2))
+    assert math.isclose(constant, math.sqrt(8) / 3)
+    assert asymptotic_form(LanguageSpec("A", 0)) == (Fraction(1, 4), Fraction(1, 2), 1.0)
+    assert asymptotic_form(LanguageSpec("F", 1))[:2] == (Fraction(1, 9), Fraction(-1, 2))
 
 
 def test_asymptotic_form_domain():
@@ -92,9 +85,8 @@ def test_asymptotic_form_domain():
 
 def test_asymptotic_estimate_matches_direct_evaluation():
     # estimate at n: C rho^(-n) n^(alpha-1) / Gamma(alpha), small n so floats fit
-    form = asymptotic_form(LanguageSpec("B", 1))
     direct = (math.sqrt(8) / 3) * 9**2 * 2 ** (-0.5) / math.sqrt(math.pi)
-    assert math.isclose(form.value(2), direct)
+    assert math.isclose(asymptotic_ratio(LanguageSpec("B", 1), 2, count=28), 28 / direct)
 
 
 def test_asymptotic_ratio_example():
@@ -106,8 +98,9 @@ def test_asymptotic_ratio_example():
 def test_asymptotic_ratio_accepts_precomputed_count():
     spec = LanguageSpec("E", 1)
     count = recurrence_seq(spec, 50)[50]
-    ratio = asymptotic_ratio(spec, 50, count=count)
-    assert math.isclose(ratio, count / asymptotic_form(spec).value(50), rel_tol=1e-12)
+    rho, alpha, constant = asymptotic_form(spec)
+    estimate = constant * rho**-50 * 50 ** (alpha - 1) / math.gamma(alpha)
+    assert math.isclose(asymptotic_ratio(spec, 50, count=count), count / estimate, rel_tol=1e-12)
     with pytest.raises(TypeError):
         asymptotic_ratio(spec, 50)  # the count is the caller's, never recomputed here
 

@@ -76,13 +76,40 @@ def test_fetch_unknown_sequence():
         oeis_fetch("not-an-id")
 
 
+def _aligned(sid, table):
+    # the b-file entries (n, value) that meet the table at the same n
+    return [(value, table[n]) for n, value in oeis_fetch(sid) if n < len(table)]
+
+
+def test_compare_alignment_offset_zero():
+    e = recurrence_seq(LanguageSpec("E", 1), 12)
+    pairs = _aligned("A086871", e)
+    # the b-file starts at index 1, so it meets the table at n = 1..12
+    assert all(value == count for value, count in pairs)
+    assert len(pairs) == 12
+
+
+def test_compare_alignment_offset_one():
+    f = recurrence_seq(LanguageSpec("F", 1), 12)
+    pairs = _aligned("A082298", f)
+    # the b-file starts at index 0, so n = 0 is compared too
+    assert all(value == count for value, count in pairs)
+    assert len(pairs) == 13
+
+
+def test_compare_detects_mismatch():
+    # A082298 is f_n, not b_n, although both start 1, 4
+    b = recurrence_seq(LanguageSpec("B", 1), 12)
+    pairs = _aligned("A082298", b)
+    assert len(pairs) == 13
+    assert any(value != count for value, count in pairs)
+
+
 def test_fixture_entries_align_with_counts_by_index():
     # each entry (n, value) is the count at semilength n, whichever index the
-    # b-file starts at; A082298 is f_n, not b_n, although both start 1, 4
+    # b-file starts at
     for sid, lid, first_index in (("A086871", "E", 1), ("A082298", "F", 0), ("A085363", "B", 0)):
         entries = oeis_fetch(sid)
         table = recurrence_seq(LanguageSpec(lid, 1), entries[-1][0])
         assert entries[0][0] == first_index
         assert all(value == table[n] for n, value in entries)
-    b = recurrence_seq(LanguageSpec("B", 1), 12)
-    assert any(value != b[n] for n, value in oeis_fetch("A082298")[:13])

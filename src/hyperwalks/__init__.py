@@ -16,7 +16,6 @@ from .core import (
     LanguageSpec,
     PatternKind,
     StepFormatError,
-    StepVector,
     Word,
     parse_step,
     parse_word,
@@ -46,7 +45,6 @@ from .formulas import (
     cross_ratio_check,
     hyper_form,
     hyper_terminating,
-    narayana,
     recurrence_seq,
 )
 from .series import asymptotic_form, asymptotic_ratio, gf_series
@@ -75,7 +73,6 @@ __all__ = [
     "PatternKind",
     "SingularParameterError",
     "StepFormatError",
-    "StepVector",
     "Word",
     "a_multi",
     "a_multi_recurrence",
@@ -99,7 +96,6 @@ __all__ = [
     "hyper_form",
     "hyper_terminating",
     "naive_census",
-    "narayana",
     "oeis_fetch",
     "parse_step",
     "parse_word",

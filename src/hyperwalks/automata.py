@@ -57,10 +57,8 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
     working state sees a bare Z0, so no configuration ever faces a choice
     between consuming and epsilon moves.
     """
-    if w.dimension is not None and w.dimension != r + 1:
-        raise DimensionMismatch(
-            f"word has dimension {w.dimension}, machine expects {r + 1}"
-        )
+    if w.r != r:
+        raise DimensionMismatch(f"word has r={w.r}, machine expects r={r}")
     state, top, depth = ACCEPT, Z0, 0
     for step in w:
         # Determinism: the epsilon move fires only in the working state on a
@@ -68,7 +66,7 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
         # makes that configuration unreachable here.
         if state == WORK and depth == 0:
             raise ConsistencyError("the working state faces a bare Z0")
-        rule = rules.get((state, step.tracked, top))
+        rule = rules.get((state, -1 if step >> r & 1 else 1, top))
         if rule is None:
             return False
         state, action = rule
@@ -105,12 +103,13 @@ def avoids_pattern(kind: PatternKind, w: Word) -> bool:
     """True iff no adjacent pair matches the forbidden pattern.
 
     A one-step memory: the regular check that the pattern families intersect
-    with the pushdown machines.
+    with the pushdown machines.  A step clashes with previous ^ flip, its
+    negation for backtracking and itself for repeats.
     """
-    backtrack = kind is PatternKind.BACKTRACK
-    previous = None
+    flip = (1 << (w.r + 1)) - 1 if kind is PatternKind.BACKTRACK else 0
+    previous = -1  # -1 ^ flip is negative, so the first step clashes with nothing
     for step in w:
-        if previous is not None and step == (previous.negate() if backtrack else previous):
+        if step == previous ^ flip:
             return False
         previous = step
     return True

@@ -13,27 +13,45 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import ConsistencyError, LanguageSpec, StepVector, Word, step_alphabet
+from .core import ConsistencyError, LanguageSpec, Word, step_alphabet
 from .automata import recognize
 
 E_LANGUAGE = LanguageSpec("E", 1)
 
 _ALPHABET = step_alphabet(1)
-FIRST_STEP = _ALPHABET[0]
+FIRST_STEP = _ALPHABET[0]  # the mask of ++
+_TRACKED = 2  # the tracked bit of a plane step mask; step ^ 3 negates a step
+
+# For each (previous run step, tracked sign): the steps of that sign that are
+# neither the previous step (run maximality) nor its negation (backtrack
+# avoidance).  The inverse map needs each entry to hold exactly one step.
+_FORCED = {
+    (prev, sign): tuple(
+        step for step in _ALPHABET
+        if (-1 if step & _TRACKED else 1) == sign and step not in (prev, prev ^ 3)
+    )
+    for prev in _ALPHABET
+    for sign in (1, -1)
+}
 
 
 class BijectionDomainError(ValueError):
     """Input outside the bijection's domain or codomain."""
 
 
-def run_decompose(w: Word) -> tuple[tuple[StepVector, int], ...]:
-    """The unique maximal runs (step, multiplicity) whose concatenation is w."""
-    runs: list[tuple[StepVector, int]] = []
+def run_decompose(w: Word) -> tuple[tuple[int, int], ...]:
+    """The unique maximal runs (step mask, multiplicity) whose concatenation is w."""
+    runs: list[tuple[int, int]] = []
+    previous, count = -1, 0
     for step in w:
-        if runs and runs[-1][0] == step:
-            runs[-1] = (step, runs[-1][1] + 1)
+        if step == previous:
+            count += 1
         else:
-            runs.append((step, 1))
+            if count:
+                runs.append((previous, count))
+            previous, count = step, 1
+    if count:
+        runs.append((previous, count))
     return tuple(runs)
 
 
@@ -78,11 +96,15 @@ def phi(w: Word) -> DiagonalPath:
     """Map a walk to its diagonal path: run of length j -> (j, +-j)."""
     if len(w) == 0:
         raise BijectionDomainError("the bijection is defined on nonempty walks")
-    if w.steps[0] != FIRST_STEP:
-        raise BijectionDomainError(f"walk must start with {FIRST_STEP}, got {w.steps[0]}")
+    if w.r != 1:
+        raise BijectionDomainError(f"the bijection is defined on plane walks (r=1), got r={w.r}")
+    if w.masks[0] != FIRST_STEP:
+        raise BijectionDomainError(f"walk must start with ++, got {Word(1, w.masks[:1])}")
     if not recognize(E_LANGUAGE, w):
         raise BijectionDomainError(f"walk {w} is not a backtrack-free nonnegative plane walk")
-    return DiagonalPath(tuple((m, step.tracked) for step, m in run_decompose(w)))
+    return DiagonalPath(
+        tuple((m, -1 if step & _TRACKED else 1) for step, m in run_decompose(w))
+    )
 
 
 def phi_inverse(p: DiagonalPath) -> Word:
@@ -91,7 +113,7 @@ def phi_inverse(p: DiagonalPath) -> Word:
     The first run uses (+1,+1).  For each later run the tracked coordinate is
     the diagonal sign; the first coordinate is whichever of the two candidates
     is neither the previous run's step (run maximality) nor its negation
-    (backtrack avoidance).  Exactly one candidate survives.
+    (backtrack avoidance).  Exactly one candidate survives: _FORCED holds it.
     """
     if len(p.steps) == 0:
         raise BijectionDomainError("the bijection is defined on nonempty paths")
@@ -101,15 +123,12 @@ def phi_inverse(p: DiagonalPath) -> Word:
     prev = FIRST_STEP
     steps = [FIRST_STEP] * p.steps[0][0]
     for j, sign in p.steps[1:]:
-        excluded = (prev, prev.negate())
-        candidates = [
-            step for step in _ALPHABET if step.tracked == sign and step not in excluded
-        ]
+        candidates = _FORCED[prev, sign]
         if len(candidates) != 1:
             raise ConsistencyError("run reconstruction must be forced")
         prev = candidates[0]
         steps.extend([prev] * j)
-    return Word(tuple(steps))
+    return Word(1, tuple(steps))
 
 
 def enumerate_domain_walks(n: int) -> Iterator[Word]:
@@ -122,19 +141,19 @@ def enumerate_domain_walks(n: int) -> Iterator[Word]:
     if n < 1:
         return
     length = 2 * n
-    prefix: list[StepVector] = [FIRST_STEP]
+    prefix: list[int] = [FIRST_STEP]
 
     def extend(height: int, position: int) -> Iterator[Word]:
         if position == length:
             if height == 0:
-                yield Word(tuple(prefix))
+                yield Word(1, tuple(prefix))
             return
         remaining = length - position
-        opposite = prefix[-1].negate()
+        opposite = prefix[-1] ^ 3
         for step in _ALPHABET:
             if step == opposite:
                 continue
-            h = height + step.tracked
+            h = height + (-1 if step & _TRACKED else 1)
             if h < 0 or h > remaining - 1:
                 continue
             prefix.append(step)

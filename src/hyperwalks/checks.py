@@ -212,7 +212,7 @@ def _first_step_split(spec, n):
     total = oracle.count_dp(spec, n)
     allowed, blocked = [], []
     for step in step_alphabet(spec.r):
-        counts = blocked if spec.halfspace and step.tracked == -1 else allowed
+        counts = blocked if spec.halfspace and step >> spec.r & 1 else allowed
         counts.append(oracle.count_dp_first_step(spec, n, step))
     agree = len(set(allowed)) == 1 and sum(allowed) == total and not any(blocked)
     yield spec.id, spec.r, n, "first-step-split", agree, (total, *allowed)

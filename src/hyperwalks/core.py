@@ -1,10 +1,12 @@
 """Domain vocabulary: steps, words, language selectors, their text formats,
 and the errors every layer raises.
 
-A step is a vector in {+1, -1}^(r+1).  The last coordinate (index r+1) is the
-tracked coordinate: its prefix sums decide the hyperplane and half-space
-constraints.  A word is a finite sequence of steps of one common dimension and
-is the object every recognizer and counter consumes.
+A step is a vector in {+1, -1}^(r+1), held as its mask: bit i is set iff
+coordinate i+1 is -1.  The last coordinate (bit r) is the tracked coordinate:
+its prefix sums decide the hyperplane and half-space constraints.  A word is
+a sequence of step masks with its r, and is the object every recognizer and
+counter consumes.  The +/- text is the only other form: parse_step and
+parse_word read it, Word.text writes it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class StepFormatError(ValueError):
 
 
 class DimensionMismatch(ValueError):
-    """A word was fed to an operation expecting a different dimension."""
+    """A step mask or word of another dimension than the operation expects."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -48,104 +50,52 @@ class PatternKind(Enum):
     REPEAT = "repeat"        # forbids a step v immediately followed by v
 
 
-@dataclass(frozen=True)
-class StepVector:
-    """One element of {+1, -1}^(r+1); the tracked coordinate is last."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coords) < 1:
-            raise ValueError("a step needs at least one coordinate (r >= 0)")
-        if any(c not in (1, -1) for c in self.coords):
-            raise ValueError(f"step coordinates must be +1 or -1, got {self.coords}")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.coords)
-
-    @property
-    def tracked(self) -> int:
-        """Sign of the tracked (last) coordinate."""
-        return self.coords[-1]
-
-    @property
-    def mask(self) -> int:
-        """Bit encoding: bit i set iff coordinate i+1 equals -1."""
-        m = 0
-        for i, c in enumerate(self.coords):
-            if c == -1:
-                m |= 1 << i
-        return m
-
-    def negate(self) -> "StepVector":
-        return _negation(self.coords)
-
-    def text(self) -> str:
-        return "".join("+" if c == 1 else "-" for c in self.coords)
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-@lru_cache(maxsize=1 << 12)
-def _negation(coords: tuple[int, ...]) -> StepVector:
-    """The negated step, built once per distinct step of the finite alphabet.
-
-    Steps are immutable, so one negation serves every caller; the recognizer
-    and the bijection check negate a step per letter they read.
-    """
-    return StepVector(tuple(-c for c in coords))
-
-
-def parse_step(text: str, r: int) -> StepVector:
-    """Parse a step from its +/- encoding, character i = coordinate i."""
+def parse_step(text: str, r: int) -> int:
+    """Parse a step from its +/- encoding into its mask: bit i set iff char i is '-'."""
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
     if len(text) != r + 1:
         raise StepFormatError(
             f"step text {text!r} has length {len(text)}, expected {r + 1} for r={r}"
         )
-    coords = []
+    mask = 0
     for pos, ch in enumerate(text, start=1):
-        if ch == "+":
-            coords.append(1)
-        elif ch == "-":
-            coords.append(-1)
-        else:
+        if ch == "-":
+            mask |= 1 << (pos - 1)
+        elif ch != "+":
             raise StepFormatError(
                 f"illegal character {ch!r} at position {pos} in step text {text!r}",
                 position=pos,
             )
-    return StepVector(tuple(coords))
+    return mask
 
 
 @dataclass(frozen=True)
 class Word:
-    """A sequence of steps of one common dimension; the empty word is valid."""
+    """A sequence of step masks in {+1, -1}^(r+1); the empty word is valid.
 
-    steps: tuple[StepVector, ...]
+    Bit i of a mask is set iff coordinate i+1 of the step is -1, so bit r is
+    the tracked coordinate and mask ^ (2^(r+1) - 1) is the negated step.
+    """
+
+    r: int
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.steps:
-            return
-        dimension = self.steps[0].dimension
-        for s in self.steps:
-            if s.dimension != dimension:
-                dims = sorted({s.dimension for s in self.steps})
-                raise DimensionMismatch(f"mixed step dimensions in word: {dims}")
-
-    @property
-    def dimension(self) -> Optional[int]:
-        """r+1 for nonempty words, None for the empty word."""
-        return self.steps[0].dimension if self.steps else None
+        if self.r < 0:
+            raise ValueError(f"r must be nonnegative, got {self.r}")
+        if self.masks and not (0 <= min(self.masks) and max(self.masks) < 1 << (self.r + 1)):
+            raise DimensionMismatch(f"word has a step mask outside 0..{(1 << (self.r + 1)) - 1}")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.masks)
 
-    def __iter__(self) -> Iterator[StepVector]:
-        return iter(self.steps)
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.masks)
 
     def text(self) -> str:
-        return ",".join(s.text() for s in self.steps)
+        bits = range(self.r + 1)
+        return ",".join("".join("-" if m >> i & 1 else "+" for i in bits) for m in self.masks)
 
     def __str__(self) -> str:
         return self.text()
@@ -154,8 +104,8 @@ class Word:
 def parse_word(text: str, r: int) -> Word:
     """Parse a comma-separated sequence of step strings, e.g. "++,--,+-"."""
     if text == "":
-        return Word(())
-    return Word(tuple(parse_step(part, r) for part in text.split(",")))
+        return Word(r, ())
+    return Word(r, tuple(parse_step(part, r) for part in text.split(",")))
 
 
 @dataclass(frozen=True)
@@ -194,9 +144,8 @@ class LanguageSpec:
 
 
 @lru_cache(maxsize=None)
-def step_alphabet(r: int) -> tuple[StepVector, ...]:
-    """All 2^(r+1) steps, ordered lexicographically by their text ('+' < '-')."""
+def step_alphabet(r: int) -> tuple[int, ...]:
+    """All 2^(r+1) step masks, ordered lexicographically by their text ('+' < '-')."""
     return tuple(
-        StepVector(tuple(1 if ch == "+" else -1 for ch in chars))
-        for chars in itertools.product("+-", repeat=r + 1)
+        parse_step("".join(chars), r) for chars in itertools.product("+-", repeat=r + 1)
     )

@@ -42,16 +42,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def narayana(n: int, k: int) -> int:
-    """Number of semilength-n nonnegative walks with exactly k peaks."""
-    if not 1 <= k <= n:
-        raise ValueError(f"narayana needs 1 <= k <= n, got n={n}, k={k}")
-    value = comb(n, k) * comb(n, k - 1)
-    if value % n:
-        raise ConsistencyError(f"narayana({n}, {k}) is not an integer")
-    return value // n
-
-
 # The four r=0 families degenerate: no nonempty backtrack-free walk returns to
 # the origin, and only the two alternating walks (one of them nonnegative)
 # avoid repeats.

@@ -21,7 +21,6 @@ from .core import (
     DimensionMismatch,
     LanguageSpec,
     PatternKind,
-    StepVector,
     Word,
     step_alphabet,
 )
@@ -58,7 +57,7 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     _refuse_over_budget("naive enumeration", spec.r, n, budget)
     result = []
     for steps in itertools.product(step_alphabet(spec.r), repeat=2 * n):
-        w = Word(steps)
+        w = Word(spec.r, steps)
         if recognize(spec, w):
             result.append(w)
     return result
@@ -211,15 +210,13 @@ def count_dp(spec: LanguageSpec, n: int) -> int:
     return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern)
 
 
-def count_dp_first_step(spec: LanguageSpec, n: int, first: StepVector) -> int:
-    """Number of length-2n members whose first step is `first`."""
+def count_dp_first_step(spec: LanguageSpec, n: int, first: int) -> int:
+    """Number of length-2n members whose first step is the step mask `first`."""
     if n < 1:
         raise ValueError("first-step counts need n >= 1")
-    if first.dimension != spec.r + 1:
-        raise DimensionMismatch(
-            f"first step has dimension {first.dimension}, language {spec} expects {spec.r + 1}"
-        )
-    return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern, first.mask)
+    if not 0 <= first < 1 << (spec.r + 1):
+        raise DimensionMismatch(f"first step mask {first} is not a step of language {spec}")
+    return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern, first)
 
 
 #: Default cap on (states x transitions x steps) work for the multi-height DP.

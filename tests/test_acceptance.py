@@ -156,7 +156,7 @@ def test_criterion_06_start_step_symmetry():
         for lid in "BCEF":
             spec = LanguageSpec(lid, r)
             halfspace = spec.halfspace
-            allowed = [s for s in step_alphabet(r) if not halfspace or s.tracked == 1]
+            allowed = [s for s in step_alphabet(r) if not halfspace or not s >> r & 1]
             for n in range(1, 11):
                 counts = [count_dp_first_step(spec, n, s) for s in allowed]
                 if len(set(counts)) != 1 or sum(counts) != count_dp(spec, n):
@@ -164,7 +164,7 @@ def test_criterion_06_start_step_symmetry():
                 if halfspace and any(
                     count_dp_first_step(spec, n, s)
                     for s in step_alphabet(r)
-                    if s.tracked == -1
+                    if s >> r & 1
                 ):
                     ok = False
     report(6, ok, "first-step counts equal across allowed steps and sum to totals, r <= 3, n <= 10")
@@ -239,8 +239,8 @@ def _tracked_truth(signs):
 def _direct_machine_check(r, max_len):
     for length in range(max_len + 1):
         for steps in itertools.product(step_alphabet(r), repeat=length):
-            w = Word(steps)
-            on_plane, in_half = _tracked_truth([s.tracked for s in steps])
+            w = Word(r, steps)
+            on_plane, in_half = _tracked_truth([-1 if s >> r & 1 else 1 for s in steps])
             if accepts_hyperplane(r, w) != on_plane:
                 return False
             if accepts_halfspace(r, w) != in_half:
@@ -262,7 +262,7 @@ def _machine_tables(r, length):
     up = step_alphabet(r)[0]     # all coordinates +1
     for key in range(1 << length):
         steps = tuple(down if key >> p & 1 else up for p in range(length))
-        w = Word(steps)
+        w = Word(r, steps)
         plane[key] = accepts_hyperplane(r, w)
         half[key] = accepts_halfspace(r, w)
     return plane, half
@@ -293,8 +293,8 @@ def _vectorized_machine_check(r, length):
     alphabet = step_alphabet(r)
     for _ in range(500):
         steps = tuple(rng.choice(alphabet) for _ in range(length))
-        w = Word(steps)
-        key = sum((1 << p) for p, s in enumerate(steps) if s.tracked == -1)
+        w = Word(r, steps)
+        key = sum((1 << p) for p, s in enumerate(steps) if s >> r & 1)
         if accepts_hyperplane(r, w) != bool(plane_table[key]):
             return False
         if accepts_halfspace(r, w) != bool(half_table[key]):

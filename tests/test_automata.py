@@ -14,7 +14,6 @@ from hyperwalks import (
     DimensionMismatch,
     LanguageSpec,
     PatternKind,
-    StepVector,
     Word,
     accepts_halfspace,
     accepts_hyperplane,
@@ -28,16 +27,16 @@ from hyperwalks import (
 def words_up_to(r, max_len):
     for length in range(max_len + 1):
         for steps in itertools.product(step_alphabet(r), repeat=length):
-            yield Word(steps)
+            yield Word(r, steps)
 
 
 def tracked_ok(w, halfspace):
-    hs = [0, *itertools.accumulate(s.tracked for s in w)]
+    hs = [0, *itertools.accumulate(-1 if s >> w.r & 1 else 1 for s in w)]
     return hs[-1] == 0 and (not halfspace or min(hs) >= 0)
 
 
 def test_hyperplane_machine_examples():
-    assert accepts_hyperplane(1, Word(()))
+    assert accepts_hyperplane(1, Word(1, ()))
     assert accepts_hyperplane(1, parse_word("++,--", 1))
     assert not accepts_hyperplane(1, parse_word("++,+-,++", 1))
 
@@ -53,6 +52,8 @@ def test_machine_dimension_mismatch():
         accepts_hyperplane(2, parse_word("++,--", 1))
     with pytest.raises(DimensionMismatch):
         recognize(LanguageSpec("B", 2), parse_word("++,--", 1))
+    with pytest.raises(DimensionMismatch):
+        accepts_halfspace(2, Word(1, ()))
 
 
 @pytest.mark.parametrize("r,max_len", [(0, 8), (1, 8), (2, 5)])
@@ -66,7 +67,7 @@ def test_pattern_examples():
     assert not avoids_pattern(PatternKind.BACKTRACK, parse_word("++,--", 1))
     assert avoids_pattern(PatternKind.REPEAT, parse_word("++,--", 1))
     assert not avoids_pattern(PatternKind.REPEAT, parse_word("++,+-,+-", 1))
-    assert avoids_pattern(PatternKind.BACKTRACK, Word(()))
+    assert avoids_pattern(PatternKind.BACKTRACK, Word(1, ()))
 
 
 def test_recognize_examples():
@@ -90,7 +91,7 @@ def test_membership_invariant_under_coordinate_flips(r, max_len):
     # Flipping any untracked coordinate in every step preserves membership in
     # all six languages; flipping the tracked coordinate preserves A, B, C.
     def flip(w, i):
-        return Word(tuple(StepVector(s.coords[:i] + (-s.coords[i],) + s.coords[i + 1:]) for s in w))
+        return Word(w.r, tuple(s ^ (1 << i) for s in w))
 
     for w in words_up_to(r, max_len):
         for i in range(r):
@@ -150,7 +151,7 @@ def reference_membership(spec, steps):
 @given(tall_walks())
 def test_recognize_matches_reference_on_tall_walks(walk):
     r, steps = walk
-    w = Word(tuple(StepVector(s) for s in steps))
+    w = parse_word(",".join("".join("+" if c == 1 else "-" for c in s) for s in steps), r)
     for lid in "ABCDEF":
         spec = LanguageSpec(lid, r)
         assert recognize(spec, w) == reference_membership(spec, steps)
@@ -163,7 +164,7 @@ def test_transition_table_drives_the_halfspace_machine(monkeypatch):
     monkeypatch.delitem(automata._HALFSPACE_RULES, (automata.WORK, -1, automata.U))
     assert not accepts_halfspace(1, up_down)
     assert not recognize(LanguageSpec("D", 1), up_down)
-    assert accepts_halfspace(1, Word(()))
+    assert accepts_halfspace(1, Word(1, ()))
 
 
 def test_optimized_interpreter_catches_corrupted_push():

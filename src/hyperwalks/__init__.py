@@ -31,6 +31,7 @@ from .oracle import (
     count_dp,
     count_dp_first_step,
     count_dp_multi,
+    count_dp_seq,
     enumerate_words,
     naive_census,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "count_dp",
     "count_dp_first_step",
     "count_dp_multi",
+    "count_dp_seq",
     "cross_ratio_check",
     "enumerate_words",
     "gf_series",

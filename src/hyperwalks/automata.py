@@ -28,20 +28,23 @@ U = "U"
 D = "D"
 
 # Transition tables keyed by (state, tracked sign, stack top).  Values are
-# (new state, stack action) with actions "push:X" or "pop".
+# (new state, pushed symbol), where POP pushes nothing and pops the top.  The
+# pushed symbol is stored decoded, so a step reads it without parsing.
+POP = None
+
 _HYPERPLANE_RULES = {
-    (ACCEPT, 1, Z0): (WORK, "push:" + U),
-    (ACCEPT, -1, Z0): (WORK, "push:" + D),
-    (WORK, 1, U): (WORK, "push:" + U),
-    (WORK, 1, D): (WORK, "pop"),
-    (WORK, -1, U): (WORK, "pop"),
-    (WORK, -1, D): (WORK, "push:" + D),
+    (ACCEPT, 1, Z0): (WORK, U),
+    (ACCEPT, -1, Z0): (WORK, D),
+    (WORK, 1, U): (WORK, U),
+    (WORK, 1, D): (WORK, POP),
+    (WORK, -1, U): (WORK, POP),
+    (WORK, -1, D): (WORK, D),
 }
 
 _HALFSPACE_RULES = {
-    (ACCEPT, 1, Z0): (WORK, "push:" + U),
-    (WORK, 1, U): (WORK, "push:" + U),
-    (WORK, -1, U): (WORK, "pop"),
+    (ACCEPT, 1, Z0): (WORK, U),
+    (WORK, 1, U): (WORK, U),
+    (WORK, -1, U): (WORK, POP),
 }
 
 
@@ -69,15 +72,14 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
         rule = rules.get((state, -1 if step >> r & 1 else 1, top))
         if rule is None:
             return False
-        state, action = rule
-        if action == "pop":
+        state, symbol = rule
+        if symbol is POP:
             if depth == 0:
                 raise ConsistencyError("pop below the bottom marker Z0")
             depth -= 1
             if depth == 0:
                 top = Z0
         else:
-            symbol = action[len("push:"):]
             if symbol == Z0 or (depth and symbol != top):
                 raise ConsistencyError(
                     f"push of {symbol} onto {top} breaks the homogeneous stack body"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import bijection, formulas, oracle, series
@@ -52,7 +52,8 @@ def _recurrence(spec, ns, budget):
 
 
 def _dp(spec, ns, budget):
-    return [oracle.count_dp(spec, n) for n in ns]
+    table = oracle.count_dp_seq(spec, ns[-1])
+    return [table[n] for n in ns]
 
 
 def _series(spec, ns, budget):
@@ -200,20 +201,27 @@ def _ratio_identities(r, n_max):
 
 def _symmetry_suite(r_values, n_max, budget):
     """First-step counts must be equal across allowed first steps and sum to the
-    total; a half-space walk never starts downward."""
+    total; a half-space walk never starts downward.
+
+    Per (language, r), one DP table without a first step and one per first
+    step serve every n; each is built in the first unit that reads it, so a
+    failing table fails each unit that needs it."""
+    n_top = min(n_max, 10)
     for r in r_values:
         for lid in "BCEF":
             spec = LanguageSpec(lid, r)
-            for n in range(1, min(n_max, 10) + 1):
-                yield from _guarded(lid, r, n, "first-step-split", _first_step_split(spec, n))
+            tables = cache(partial(oracle.count_dp_seq, spec, n_top))
+            for n in range(1, n_top + 1):
+                rows = _first_step_split(spec, n, tables)
+                yield from _guarded(lid, r, n, "first-step-split", rows)
 
 
-def _first_step_split(spec, n):
-    total = oracle.count_dp(spec, n)
+def _first_step_split(spec, n, tables):
+    total = tables(None)[n]
     allowed, blocked = [], []
     for step in step_alphabet(spec.r):
         counts = blocked if spec.halfspace and step >> spec.r & 1 else allowed
-        counts.append(oracle.count_dp_first_step(spec, n, step))
+        counts.append(tables(step)[n])
     agree = len(set(allowed)) == 1 and sum(allowed) == total and not any(blocked)
     yield spec.id, spec.r, n, "first-step-split", agree, (total, *allowed)
 

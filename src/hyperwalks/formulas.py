@@ -129,6 +129,12 @@ def hyper_terminating(h: HypergeometricSpec) -> Fraction:
     Terms are sum_k (prod upper Pochhammers / prod lower Pochhammers) z^k / k!,
     stopping at the first vanishing upper Pochhammer.  A lower Pochhammer that
     vanishes at or before that index makes the sum undefined.
+
+    With every parameter written p/q, the term ratio t_(k+1)/t_k is the
+    integer quotient prod_upper (p + k q) prod_lower q' p_z over
+    prod_lower (p' + k q') prod_upper q q_z (k + 1).  The term's numerator and
+    the running sum are integers over one common, unreduced denominator, and
+    the only `Fraction` is the one built from them at the end.
     """
     K = h.termination_index
     for b in h.lower:
@@ -137,17 +143,25 @@ def hyper_terminating(h: HypergeometricSpec) -> Fraction:
                 f"lower parameter {b} vanishes at k={int(-b) + 1}, "
                 f"before the terminating index {K}"
             )
-    total = Fraction(1)
-    term = Fraction(1)
+    upper = [(a.numerator, a.denominator) for a in h.upper]
+    lower = [(b.numerator, b.denominator) for b in h.lower]
+    up_scale = h.argument.numerator
+    for _, q in lower:
+        up_scale *= q
+    down_scale = h.argument.denominator
+    for _, q in upper:
+        down_scale *= q
+    total = term = denominator = 1
     for k in range(K):
-        for a in h.upper:
-            term *= a + k
-        for b in h.lower:
-            term /= b + k
-        term *= h.argument
-        term /= k + 1
-        total += term
-    return total
+        up, down = up_scale, down_scale * (k + 1)
+        for p, q in upper:
+            up *= p + k * q
+        for p, q in lower:
+            down *= p + k * q
+        term *= up
+        denominator *= down
+        total = total * down + term
+    return Fraction(total, denominator)
 
 
 def hyper_parameters(spec: LanguageSpec, n: int) -> tuple[int, HypergeometricSpec]:

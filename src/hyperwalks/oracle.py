@@ -6,7 +6,7 @@ census that scans every candidate word arithmetically where materializing word
 objects is too slow, and one dynamic program over (tracked heights, previous
 step).  The DP serves the single-hyperplane counts, the counts restricted to a
 first step, and the walks that must end on (and optionally stay above) several
-hyperplanes at once.
+hyperplanes at once; one pass to length 2N gives the counts at every n <= N.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ def _walk_layers(
     halfspace: bool,
     pattern: Optional[PatternKind] = None,
     first: Optional[int] = None,
-) -> int:
-    """Walks of length 2n whose last j+1 coordinates end at zero.
+) -> tuple[int, ...]:
+    """Walks of length 2m whose last j+1 coordinates end at zero, for m = 0..n.
 
     The one DP engine behind every step-by-step count.  A layer maps the
     heights of the j+1 tracked coordinates to the walks' counts per last step
@@ -157,11 +157,16 @@ def _walk_layers(
     partner: mask ^ full for backtracking, mask for repeats.  With no pattern
     the partner is a trailing slot of the row that stays 0.  `first`, if
     given, is the only allowed first step mask.  Exact integers throughout.
+
+    One pass aimed at length 2n prunes only walks too far from 0 to return by
+    step 2n, never one that returns at a step 2m <= 2n, so the count at
+    heights 0 after every even layer is exact: entry m is the count at length
+    2m.  Entry 0 is the empty walk: 1, or 0 when a first step is required.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    zero = (0,) * (j + 1)
+    counts_at_zero = [1 if first is None else 0]
     if n == 0:
-        return 1
+        return tuple(counts_at_zero)
     size = 1 << (r + 1)
     shift = r - j
     if pattern is PatternKind.BACKTRACK:
@@ -202,21 +207,33 @@ def _walk_layers(
                 for mask, p in block:
                     row[mask] += total - counts[p]
         layers = new_layers
-    return sum(layers.get((0,) * (j + 1), ()))
+        if left % 2 == 0:  # an even number of steps taken: 2n - left
+            counts_at_zero.append(sum(layers.get(zero, ())))
+    return tuple(counts_at_zero)
+
+
+def count_dp_seq(
+    spec: LanguageSpec, n_max: int, first: Optional[int] = None
+) -> tuple[int, ...]:
+    """Members of length 2n for n = 0..n_max, by one DP pass over (height,
+    previous step); with `first`, only those whose first step is that mask."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    if first is not None and not 0 <= first < 1 << (spec.r + 1):
+        raise DimensionMismatch(f"first step mask {first} is not a step of language {spec}")
+    return _walk_layers(spec.r, 0, n_max, spec.halfspace, spec.pattern, first)
 
 
 def count_dp(spec: LanguageSpec, n: int) -> int:
     """Number of length-2n members, by DP over (height, previous step)."""
-    return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern)
+    return count_dp_seq(spec, n)[-1]
 
 
 def count_dp_first_step(spec: LanguageSpec, n: int, first: int) -> int:
     """Number of length-2n members whose first step is the step mask `first`."""
     if n < 1:
         raise ValueError("first-step counts need n >= 1")
-    if not 0 <= first < 1 << (spec.r + 1):
-        raise DimensionMismatch(f"first step mask {first} is not a step of language {spec}")
-    return _walk_layers(spec.r, 0, n, spec.halfspace, spec.pattern, first)
+    return count_dp_seq(spec, n, first)[-1]
 
 
 #: Default cap on (states x transitions x steps) work for the multi-height DP.
@@ -241,4 +258,4 @@ def count_dp_multi(
         raise BudgetExceeded(
             f"multi-height DP needs roughly {work} state transitions, budget is {budget}"
         )
-    return _walk_layers(r, j, n, halfspace)
+    return _walk_layers(r, j, n, halfspace)[-1]

@@ -176,7 +176,7 @@ from hyperwalks import ConsistencyError, LanguageSpec, parse_word, recognize
 
 if __debug__:
     sys.exit("not running under -O")
-automata._HYPERPLANE_RULES[(automata.WORK, 1, automata.U)] = (automata.WORK, "push:" + automata.D)
+automata._HYPERPLANE_RULES[(automata.WORK, 1, automata.U)] = (automata.WORK, automata.D)
 try:
     recognize(LanguageSpec("A", 1), parse_word("++,++,--,--", 1))
 except ConsistencyError as exc:

@@ -215,7 +215,7 @@ CORRUPTIONS = {
     "closed": (formulas_module, "closed_form", lambda value: value + 1),
     "hyper": (formulas_module, "hyper_form", lambda value: value + 1),
     "recurrence": (formulas_module, "recurrence_seq", _plus_one_last),
-    "dp": (oracle_module, "count_dp", lambda value: value + 1),
+    "dp": (oracle_module, "count_dp_seq", _plus_one_last),
     "series": (series_module, "gf_series", _plus_one_last),
     "naive": (oracle_module, "naive_census", lambda census: {**census, "C": census["C"] + 1}),
 }
@@ -231,16 +231,20 @@ def test_check_detects_each_corrupted_route(capsys, monkeypatch, route):
     assert "FAIL" in out
 
 
-# Each suite's own route function, a corruption of what it returns, and a
-# check that runs the suite.
+def _first_step_tables_plus_one(table, spec, n_max, first=None):
+    return table if first is None else _plus_one_last(table)
+
+
+# Each suite's own route function, a corruption of what it returns given the
+# call's arguments, and a check that runs the suite.
 SUITE_CORRUPTIONS = {
-    "symmetry": (oracle_module, "count_dp_first_step", lambda value: value + 1,
+    "symmetry": (oracle_module, "count_dp_seq", _first_step_tables_plus_one,
                  ("--r", "1", "--n-max", "3")),
-    "ratios": (formulas_module, "cross_ratio_check", lambda found: found + ("corrupted",),
+    "ratios": (formulas_module, "cross_ratio_check", lambda found, *_: found + ("corrupted",),
                ("--r", "1", "--n-max", "4")),
-    "bijection": (bijection_module, "verify_bijection", lambda found: found + ("corrupted",),
+    "bijection": (bijection_module, "verify_bijection", lambda found, *_: found + ("corrupted",),
                   ("--n-max", "2")),
-    "asymptotics": (series_module, "asymptotic_ratio", lambda ratio: ratio * 1.1, ("--r", "1")),
+    "asymptotics": (series_module, "asymptotic_ratio", lambda ratio, *_: ratio * 1.1, ("--r", "1")),
 }
 
 
@@ -248,11 +252,28 @@ SUITE_CORRUPTIONS = {
 def test_check_detects_each_corrupted_suite_function(capsys, monkeypatch, suite):
     module, name, corrupt, argv = SUITE_CORRUPTIONS[suite]
     good = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args, **kwargs: corrupt(good(*args, **kwargs)))
+    monkeypatch.setattr(
+        module, name, lambda *args, **kwargs: corrupt(good(*args, **kwargs), *args)
+    )
     code, out, _ = run(capsys, "check", "--suites", suite, *argv)
     assert code == 1
     assert f"[{suite}]" in out
     assert "FAIL" in out
+
+
+def test_symmetry_suite_detects_a_corrupted_total(capsys, monkeypatch):
+    # The total comes from the table without a first step, never from the sum
+    # of the first-step tables, so corrupting that table alone fails the suite.
+    good = oracle_module.count_dp_seq
+
+    def corrupted(spec, n_max, first=None):
+        table = good(spec, n_max, first)
+        return table if first is not None else _plus_one_last(table)
+
+    monkeypatch.setattr(oracle_module, "count_dp_seq", corrupted)
+    code, out, _ = run(capsys, "check", "--suites", "symmetry", "--r", "1", "--n-max", "3")
+    assert code == 1
+    assert "FAIL B r=1 n=3 first-step-split" in out
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperwalks import (
     ConsistencyError,
@@ -123,6 +125,47 @@ def test_hyper_terminating_singular_lower():
     # upper -3 terminates at K=3 but the lower parameter -1 vanishes at k=2
     with pytest.raises(SingularParameterError):
         hyper_terminating(HypergeometricSpec((-3,), (-1,), Fraction(1)))
+
+
+def hyper_reference(upper, lower, z):
+    """The terminating pFq summed term by term, one normalized Fraction per factor."""
+    upper = [Fraction(a) for a in upper]
+    lower = [Fraction(b) for b in lower]
+    total = term = Fraction(1)
+    for k in range(min(int(-a) for a in upper if a.denominator == 1 and a <= 0)):
+        for a in upper:
+            term *= a + k
+        for b in lower:
+            term /= b + k
+        term *= Fraction(z) / (k + 1)
+        total += term
+    return total
+
+
+rationals = st.fractions(-12, 12, max_denominator=9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    K=st.integers(0, 14),
+    upper=st.lists(rationals.filter(lambda x: x.denominator > 1), max_size=3),
+    lower=st.lists(st.one_of(st.integers(-12, 12), rationals), max_size=3),
+    z=st.fractions(-9, 9, max_denominator=11),
+)
+def test_hyper_terminating_matches_term_by_term_reference(K, upper, lower, z):
+    h = HypergeometricSpec((*upper, -K), tuple(lower), z)
+    if any(Fraction(b).denominator == 1 and 0 <= -b < K for b in lower):
+        with pytest.raises(SingularParameterError):
+            hyper_terminating(h)
+    else:
+        assert hyper_terminating(h) == hyper_reference((*upper, -K), lower, z)
+
+
+@pytest.mark.parametrize("lid", "BCEF")
+@pytest.mark.parametrize("r", [1, 3])
+def test_hyper_form_at_large_n(lid, r):
+    spec = LanguageSpec(lid, r)
+    assert hyper_form(spec, 2000) == recurrence_seq(spec, 2000)[2000]
 
 
 def test_hyper_form_examples():

@@ -14,6 +14,7 @@ from hyperwalks import (
     count_dp,
     count_dp_first_step,
     count_dp_multi,
+    count_dp_seq,
     enumerate_words,
     naive_census,
     parse_step,
@@ -193,6 +194,31 @@ def test_first_step_must_be_a_step_of_the_language():
     for mask in (parse_step("++-", 2), -1):
         with pytest.raises(DimensionMismatch):
             count_dp_first_step(LanguageSpec("B", 1), 1, mask)
+        with pytest.raises(DimensionMismatch):
+            count_dp_seq(LanguageSpec("B", 1), 3, mask)
+
+
+@pytest.mark.parametrize("lid", "ABCDEF")
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_count_dp_seq_reads_every_n_off_one_pass(lid, r):
+    spec = LanguageSpec(lid, r)
+    table = count_dp_seq(spec, 12)
+    assert len(table) == 13
+    assert table == tuple(count_dp(spec, n) for n in range(13))
+    for first in step_alphabet(r):
+        table = count_dp_seq(spec, 12, first)
+        assert table[1:] == tuple(count_dp_first_step(spec, n, first) for n in range(1, 13))
+
+
+def test_count_dp_seq_entry_zero():
+    # The empty walk counts without a first step and has none to start with.
+    for lid in "ABCDEF":
+        spec = LanguageSpec(lid, 1)
+        assert count_dp_seq(spec, 0) == (1,)
+        assert count_dp_seq(spec, 3)[0] == 1
+        for first in step_alphabet(1):
+            assert count_dp_seq(spec, 0, first) == (0,)
+            assert count_dp_seq(spec, 3, first)[0] == 0
 
 
 @pytest.mark.parametrize("lid,mult_up", [("B", False), ("C", False), ("E", True), ("F", True)])
@@ -235,12 +261,14 @@ def test_count_dp_multi_budget_refusal():
     "count",
     [
         lambda n: count_dp(LanguageSpec("A", 1), n),
+        lambda n: count_dp_seq(LanguageSpec("A", 1), n),
         lambda n: count_dp_multi(1, 0, n, False),
         lambda n: count_dp_multi(2, 1, n, True),
         lambda n: naive_census(1, n),
         lambda n: enumerate_words(LanguageSpec("A", 1), n),
     ],
-    ids=["count_dp", "count_dp_multi_j0", "count_dp_multi_j1", "naive_census", "enumerate_words"],
+    ids=["count_dp", "count_dp_seq", "count_dp_multi_j0", "count_dp_multi_j1", "naive_census",
+         "enumerate_words"],
 )
 @pytest.mark.parametrize("n", [-1, -1000])
 def test_negative_n_is_rejected(count, n):

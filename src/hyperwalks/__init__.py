@@ -6,7 +6,7 @@ repeated steps) counted by several independent methods that are cross-checked
 against each other: brute-force enumeration, dynamic programming, binomial
 closed forms, terminating hypergeometric sums, holonomic recurrences, and
 generating-function expansion, plus singularity asymptotics and a run-length
-bijection onto diagonal-step paths.
+bijection onto diagonal-step paths, each path a tuple of signed jumps.
 """
 
 from .core import (
@@ -51,7 +51,6 @@ from .formulas import (
 from .series import asymptotic_form, asymptotic_ratio, gf_series
 from .bijection import (
     BijectionDomainError,
-    DiagonalPath,
     count_E_double_prime,
     phi,
     phi_inverse,
@@ -67,7 +66,6 @@ __all__ = [
     "BijectionDomainError",
     "BudgetExceeded",
     "ConsistencyError",
-    "DiagonalPath",
     "DimensionMismatch",
     "HypergeometricSpec",
     "LanguageSpec",

@@ -4,13 +4,14 @@ The backtrack-avoiding nonnegative plane walks (r=1) that start with the step
 (+1,+1) are in bijection with paths from (0,0) to (2n,0) built from steps
 (j, j) and (j, -j), j >= 1, that never go below the x-axis: each maximal run
 of j equal steps maps to one diagonal step of jump j whose sign is the run's
-tracked coordinate.  The inverse is forced, because backtrack avoidance plus
-run maximality leave exactly one choice of first coordinate per run.
+tracked coordinate.  A path is the tuple of its signed jumps, +j or -j: the
+walk ++,++,-+,-+,--,+-,+-,+- maps to (2, 2, -1, -3).  The inverse is forced,
+because backtrack avoidance plus run maximality leave exactly one choice of
+first coordinate per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .core import ConsistencyError, LanguageSpec, Word, step_alphabet
@@ -22,16 +23,16 @@ _ALPHABET = step_alphabet(1)
 FIRST_STEP = _ALPHABET[0]  # the mask of ++
 _TRACKED = 2  # the tracked bit of a plane step mask; step ^ 3 negates a step
 
-# For each (previous run step, tracked sign): the steps of that sign that are
-# neither the previous step (run maximality) nor its negation (backtrack
+# For each (previous run step, downward run): the steps of that direction that
+# are neither the previous step (run maximality) nor its negation (backtrack
 # avoidance).  The inverse map needs each entry to hold exactly one step.
 _FORCED = {
-    (prev, sign): tuple(
+    (prev, down): tuple(
         step for step in _ALPHABET
-        if (-1 if step & _TRACKED else 1) == sign and step not in (prev, prev ^ 3)
+        if bool(step & _TRACKED) == down and step not in (prev, prev ^ 3)
     )
     for prev in _ALPHABET
-    for sign in (1, -1)
+    for down in (False, True)
 }
 
 
@@ -55,45 +56,18 @@ def run_decompose(w: Word) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
-class DiagonalPath:
-    """A sequence of steps (j, j*sign) with jump j >= 1 and sign +1 or -1.
-
-    Jumps of 0 are excluded: a zero step is invisible, so admitting it would
-    make every extent class infinite.
-    """
-
-    steps: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for j, sign in self.steps:
-            if j < 1:
-                raise ValueError(f"diagonal jumps must be >= 1, got {j}")
-            if sign not in (1, -1):
-                raise ValueError(f"diagonal signs must be +1 or -1, got {sign}")
-
-    @property
-    def extent(self) -> int:
-        return sum(j for j, _ in self.steps)
-
-    def is_valid(self) -> bool:
-        """Nonnegative at every prefix and back to height 0 at the end."""
-        height = 0
-        for j, sign in self.steps:
-            height += j * sign
-            if height < 0:
-                return False
-        return height == 0
-
-    def text(self) -> str:
-        return ";".join(f"{j},{'+' if s == 1 else '-'}" for j, s in self.steps)
-
-    def __str__(self) -> str:
-        return self.text()
+def _is_valid_path(p: tuple[int, ...]) -> bool:
+    """Nonnegative at every prefix and back to height 0 at the end."""
+    height = 0
+    for j in p:
+        height += j
+        if height < 0:
+            return False
+    return height == 0
 
 
-def phi(w: Word) -> DiagonalPath:
-    """Map a walk to its diagonal path: run of length j -> (j, +-j)."""
+def phi(w: Word) -> tuple[int, ...]:
+    """Map a walk to its diagonal path: a run of length j -> jump +j or -j."""
     if len(w) == 0:
         raise BijectionDomainError("the bijection is defined on nonempty walks")
     if w.r != 1:
@@ -102,32 +76,36 @@ def phi(w: Word) -> DiagonalPath:
         raise BijectionDomainError(f"walk must start with ++, got {Word(1, w.masks[:1])}")
     if not recognize(E_LANGUAGE, w):
         raise BijectionDomainError(f"walk {w} is not a backtrack-free nonnegative plane walk")
-    return DiagonalPath(
-        tuple((m, -1 if step & _TRACKED else 1) for step, m in run_decompose(w))
-    )
+    return tuple(-m if step & _TRACKED else m for step, m in run_decompose(w))
 
 
-def phi_inverse(p: DiagonalPath) -> Word:
+def phi_inverse(p: tuple[int, ...]) -> Word:
     """The unique preimage of a valid diagonal path.
 
-    The first run uses (+1,+1).  For each later run the tracked coordinate is
-    the diagonal sign; the first coordinate is whichever of the two candidates
-    is neither the previous run's step (run maximality) nor its negation
-    (backtrack avoidance).  Exactly one candidate survives: _FORCED holds it.
+    The path must be nonempty, its jumps nonzero ints (a zero jump is
+    invisible, so admitting it would make every extent class infinite), its
+    height never negative and its end at height 0.  The first run uses
+    (+1,+1).  For each
+    later run the tracked coordinate is the jump's sign; the first coordinate
+    is whichever of the two candidates is neither the previous run's step
+    (run maximality) nor its negation (backtrack avoidance).  Exactly one
+    candidate survives: _FORCED holds it.
     """
-    if len(p.steps) == 0:
+    if len(p) == 0:
         raise BijectionDomainError("the bijection is defined on nonempty paths")
-    if not p.is_valid():
+    if not all(type(j) is int and j for j in p):
+        raise BijectionDomainError(f"path {p} has a jump that is not a nonzero int")
+    if not _is_valid_path(p):
         raise BijectionDomainError(f"path {p} leaves the quarter plane or does not end at height 0")
     # A valid path starts upward, so its first run is FIRST_STEP.
     prev = FIRST_STEP
-    steps = [FIRST_STEP] * p.steps[0][0]
-    for j, sign in p.steps[1:]:
-        candidates = _FORCED[prev, sign]
+    steps = [FIRST_STEP] * p[0]
+    for j in p[1:]:
+        candidates = _FORCED[prev, j < 0]
         if len(candidates) != 1:
             raise ConsistencyError("run reconstruction must be forced")
         prev = candidates[0]
-        steps.extend([prev] * j)
+        steps.extend([prev] * abs(j))
     return Word(1, tuple(steps))
 
 
@@ -163,25 +141,25 @@ def enumerate_domain_walks(n: int) -> Iterator[Word]:
     yield from extend(1, 1)
 
 
-def enumerate_diagonal_paths(n: int) -> Iterator[DiagonalPath]:
+def enumerate_diagonal_paths(n: int) -> Iterator[tuple[int, ...]]:
     """All valid diagonal paths of extent 2n, in deterministic order."""
     extent = 2 * n
-    steps: list[tuple[int, int]] = []
+    jumps: list[int] = []
 
-    def extend(used: int, height: int) -> Iterator[DiagonalPath]:
+    def extend(used: int, height: int) -> Iterator[tuple[int, ...]]:
         if used == extent:
             if height == 0:
-                yield DiagonalPath(tuple(steps))
+                yield tuple(jumps)
             return
         left = extent - used
         for j in range(1, left + 1):
-            for sign in (1, -1):
-                h = height + j * sign
+            for jump in (j, -j):
+                h = height + jump
                 if h < 0 or h > left - j:
                     continue
-                steps.append((j, sign))
+                jumps.append(jump)
                 yield from extend(used + j, h)
-                steps.pop()
+                jumps.pop()
 
     yield from extend(0, 0)
 
@@ -219,7 +197,7 @@ def verify_bijection(n: int) -> tuple[str, ...]:
     if n < 1:
         raise ValueError("bijection verification needs n >= 1")
     failures: list[str] = []
-    images: set[DiagonalPath] = set()
+    images: set[tuple[int, ...]] = set()
     walk_count = 0
     for w in enumerate_domain_walks(n):
         walk_count += 1
@@ -228,7 +206,7 @@ def verify_bijection(n: int) -> tuple[str, ...]:
         except BijectionDomainError as exc:
             failures.append(f"phi rejected domain walk {w}: {exc}")
             continue
-        if not p.is_valid() or p.extent != 2 * n:
+        if not _is_valid_path(p) or sum(map(abs, p)) != 2 * n:
             failures.append(f"phi({w}) = {p} is not a valid path of extent {2 * n}")
             continue
         if p in images:

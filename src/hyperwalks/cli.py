@@ -57,8 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", help="print one walk count")
-    p_count.add_argument("language", nargs="?", choices=LANGUAGE_IDS)
-    p_count.add_argument("--language", dest="language_flag", choices=LANGUAGE_IDS)
+    p_count.add_argument("language", choices=LANGUAGE_IDS)
     p_count.add_argument("--r", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
     p_count.add_argument("--method", choices=METHODS, default="closed")
@@ -66,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="candidate cap for the naive census")
 
     p_series = sub.add_parser("series", help="print leading sequence terms")
-    p_series.add_argument("language", nargs="?", choices=LANGUAGE_IDS)
-    p_series.add_argument("--language", dest="language_flag", choices=LANGUAGE_IDS)
+    p_series.add_argument("language", choices=LANGUAGE_IDS)
     p_series.add_argument("--r", type=int, required=True)
     p_series.add_argument("--terms", type=int, required=True)
     p_series.add_argument("--format", choices=("csv", "json", "bfile"), default="csv")
@@ -86,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oeis.add_argument("--cache-dir", default=None)
 
     return parser
-
-
-def _resolve_language(args) -> str:
-    given = [x for x in (args.language, args.language_flag) if x is not None]
-    if len(given) != 1:
-        raise UsageError("give the language exactly once (positionally or via --language)")
-    return given[0]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -118,13 +109,13 @@ def _run(argv: Optional[Sequence[str]]) -> int:
         if args.command == "count":
             if args.n < 0:
                 raise UsageError("n must be nonnegative")
-            spec = LanguageSpec(_resolve_language(args), args.r)
+            spec = LanguageSpec(args.language, args.r)
             print(ROUTES[args.method].values(spec, [args.n], args.budget)[0])
             return 0
         if args.command == "series":
             if args.terms < 1:
                 raise UsageError("need at least one term")
-            spec = LanguageSpec(_resolve_language(args), args.r)
+            spec = LanguageSpec(args.language, args.r)
             values = ROUTES["series"].values(spec, range(args.terms), DEFAULT_BUDGET)
             print(_format_series(spec, values, args.format))
             return 0

@@ -76,6 +76,8 @@ class Word:
 
     Bit i of a mask is set iff coordinate i+1 of the step is -1, so bit r is
     the tracked coordinate and mask ^ (2^(r+1) - 1) is the negated step.
+    Masks given as any sequence are stored as a tuple, so words compare and
+    hash by value.
     """
 
     r: int
@@ -84,6 +86,7 @@ class Word:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError(f"r must be nonnegative, got {self.r}")
+        object.__setattr__(self, "masks", tuple(self.masks))
         if self.masks and not (0 <= min(self.masks) and max(self.masks) < 1 << (self.r + 1)):
             raise DimensionMismatch(f"word has a step mask outside 0..{(1 << (self.r + 1)) - 1}")
 

@@ -189,7 +189,10 @@ def _walk_layers(
     for mask in range(size) if first is None else (first,):
         heights = moves[mask >> shift][0]
         if not (halfspace and min(heights) < 0):
-            layers.setdefault(heights, [0] * (size + 1))[mask] = 1
+            row = layers.get(heights)
+            if row is None:
+                row = layers[heights] = [0] * (size + 1)
+            row[mask] = 1
 
     for left in range(2 * n - 2, -1, -1):
         new_layers: dict[tuple[int, ...], list[int]] = {}

@@ -4,7 +4,6 @@ import hyperwalks.bijection as bijection
 from hyperwalks import (
     BijectionDomainError,
     ConsistencyError,
-    DiagonalPath,
     LanguageSpec,
     Word,
     count_E_double_prime,
@@ -19,7 +18,7 @@ from hyperwalks import (
 from hyperwalks.bijection import enumerate_diagonal_paths, enumerate_domain_walks
 
 WORKED_WALK = parse_word("++,++,-+,-+,--,+-,+-,+-", 1)
-WORKED_PATH = DiagonalPath(((2, 1), (2, 1), (1, -1), (3, -1)))
+WORKED_PATH = (2, 2, -1, -3)
 
 
 def test_run_decompose_worked_example():
@@ -43,7 +42,7 @@ def test_phi_worked_example():
 
 
 def test_phi_simple():
-    assert phi(parse_word("++,+-", 1)) == DiagonalPath(((1, 1), (1, -1)))
+    assert phi(parse_word("++,+-", 1)) == (1, -1)
 
 
 def test_phi_rejects_backtracking():
@@ -59,16 +58,21 @@ def test_phi_rejects_backtracking():
 
 def test_phi_inverse_worked_example():
     assert phi_inverse(WORKED_PATH) == WORKED_WALK
-    assert phi_inverse(DiagonalPath(((1, 1), (1, -1)))) == parse_word("++,+-", 1)
+    assert phi_inverse((1, -1)) == parse_word("++,+-", 1)
 
 
 def test_phi_inverse_rejects_invalid_paths():
-    with pytest.raises(BijectionDomainError):
-        phi_inverse(DiagonalPath(((1, 1), (2, -1))))  # ends below the axis
-    with pytest.raises(BijectionDomainError):
-        phi_inverse(DiagonalPath(((1, 1), (1, 1))))  # nonzero end
-    with pytest.raises(BijectionDomainError):
-        phi_inverse(DiagonalPath(()))
+    for path in [
+        (),  # empty
+        (1, 1),  # nonzero end
+        (1, -2),  # ends below the axis
+        (0,),  # a zero jump
+        (1, 0, -1),
+        (1.5, -1.5),  # jumps that are not ints
+        (True, -1),
+    ]:
+        with pytest.raises(BijectionDomainError):
+            phi_inverse(path)
 
 
 def test_phi_inverse_requires_a_forced_run_step(monkeypatch):
@@ -78,14 +82,6 @@ def test_phi_inverse_requires_a_forced_run_step(monkeypatch):
     monkeypatch.setattr(bijection, "_FORCED", forced)
     with pytest.raises(ConsistencyError):
         phi_inverse(WORKED_PATH)
-
-
-def test_diagonal_path_validation_and_text():
-    with pytest.raises(ValueError):
-        DiagonalPath(((0, 1),))
-    with pytest.raises(ValueError):
-        DiagonalPath(((2, 3),))
-    assert WORKED_PATH.text() == "2,+;2,+;1,-;3,-"
 
 
 def test_count_E_double_prime_small():
@@ -104,7 +100,7 @@ def test_path_count_matches_first_step_dp():
 
 def test_extent_preserved():
     for w in enumerate_domain_walks(4):
-        assert phi(w).extent == 8
+        assert sum(map(abs, phi(w))) == 8
 
 
 def test_verify_bijection_small():

@@ -39,12 +39,11 @@ def test_count_dp(capsys):
 
 
 def test_count_language_flag_spelling(capsys):
-    code, out, _ = run(capsys, "count", "--language", "B", "--r", "1", "--n", "2")
-    assert code == 0
-    assert out.strip() == "28"
-    code, _, err = run(capsys, "count", "--r", "1", "--n", "2")
-    assert code == 2
-    assert "language" in err
+    # The language is a required positional argument: missing, like a missing --r, it is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--r", "1", "--n", "2"])
+    assert exc.value.code == 2
+    assert "language" in capsys.readouterr().err
 
 
 def test_count_recurrence_r0(capsys):

@@ -62,6 +62,13 @@ def test_word_round_trip():
     assert Word(2, ()).text() == ""
 
 
+def test_word_stores_its_masks_as_a_tuple():
+    w = Word(1, [0, 2])
+    assert w.masks == (0, 2)
+    assert w == Word(1, (0, 2))
+    assert hash(w) == hash(Word(1, (0, 2)))
+
+
 def test_word_rejects_a_mask_outside_its_alphabet():
     with pytest.raises(DimensionMismatch):
         Word(1, (0, 4))

@@ -74,6 +74,13 @@ def test_checks_binds_no_route_function():
     assert [name for name in names if not name.isupper()] == []
 
 
+def test_all_is_sorted_unique_and_resolves():
+    names = hyperwalks.__all__
+    assert list(names) == sorted(set(names))
+    for name in names:
+        getattr(hyperwalks, name)
+
+
 def test_library_has_no_assert():
     # every invariant raises ConsistencyError, which python -O keeps
     for path in PACKAGE.glob("*.py"):

@@ -121,6 +121,14 @@ def test_dp_deep_cells_match_closed_form(lid, r, n):
     assert count_dp(LanguageSpec(lid, r), n) == closed_form(LanguageSpec(lid, r), n)
 
 
+def test_dp_wide_alphabet_matches_closed_form():
+    # 2^13 step masks: the first layer must not cost a row per mask
+    from hyperwalks import closed_form
+
+    for lid in "ABCDEF":
+        assert count_dp(LanguageSpec(lid, 12), 2) == closed_form(LanguageSpec(lid, 12), 2)
+
+
 @pytest.mark.parametrize("r,n,budget", [(2, 4, 8**8), (1, 6, 4**12)])
 def test_naive_census_across_chunks_matches_dp(r, n, budget):
     assert budget > oracle.CENSUS_CHUNK

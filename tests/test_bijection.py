@@ -66,13 +66,19 @@ def test_phi_inverse_rejects_invalid_paths():
         (),  # empty
         (1, 1),  # nonzero end
         (1, -2),  # ends below the axis
-        (0,),  # a zero jump
-        (1, 0, -1),
-        (1.5, -1.5),  # jumps that are not ints
-        (True, -1),
     ]:
         with pytest.raises(BijectionDomainError):
             phi_inverse(path)
+
+
+def test_diagonal_path_validation_and_text():
+    # Each jump is a nonzero int; a path is read back through the text of its walk.
+    for path in [(0,), (1, 0, -1), (1.5, -1.5), (True, -1)]:
+        with pytest.raises(BijectionDomainError):
+            phi_inverse(path)
+    text = phi_inverse(WORKED_PATH).text()
+    assert text == "++,++,-+,-+,--,+-,+-,+-"
+    assert phi(parse_word(text, 1)) == WORKED_PATH
 
 
 def test_phi_inverse_requires_a_forced_run_step(monkeypatch):

@@ -36,7 +36,6 @@ from .oracle import (
     naive_census,
 )
 from .formulas import (
-    HypergeometricSpec,
     SingularParameterError,
     a_multi,
     a_multi_recurrence,
@@ -67,7 +66,6 @@ __all__ = [
     "BudgetExceeded",
     "ConsistencyError",
     "DimensionMismatch",
-    "HypergeometricSpec",
     "LanguageSpec",
     "PatternKind",
     "SingularParameterError",

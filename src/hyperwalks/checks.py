@@ -87,7 +87,7 @@ ROUTES: dict[str, Route] = {
     "dp": Route(_dp, lambda spec, n, budget: n <= 16),
     "series": Route(_series),
     "naive": Route(
-        _naive, lambda spec, n, budget: n >= 1 and (1 << (spec.r + 1)) ** (2 * n) <= budget
+        _naive, lambda spec, n, budget: n >= 1 and oracle.census_fits(spec.r, n, budget)
     ),
 }
 

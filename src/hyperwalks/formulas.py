@@ -1,10 +1,11 @@
 """Closed forms, terminating hypergeometric evaluations, and recurrences.
 
-Every counting sequence here has (for r >= 1) a binomial-sum closed form, an
-equivalent terminating hypergeometric evaluation, and a short recurrence with
-polynomial coefficients.  All three are implemented independently so they can
-be cross-checked against each other and against the oracles; arithmetic is
-exact throughout (integers and rationals, never floats).
+Every counting sequence here has a binomial-sum closed form and a short
+recurrence with polynomial coefficients, both valid for every r >= 0, and for
+r >= 1 an equivalent terminating hypergeometric evaluation.  All three are
+implemented independently so they can be cross-checked against each other and
+against the oracles; arithmetic is exact throughout (integers and rationals,
+never floats).
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-# The four r=0 families degenerate: no nonempty backtrack-free walk returns to
-# the origin, and only the two alternating walks (one of them nonnegative)
-# avoid repeats.
-_R0_VALUES = {"B": 0, "E": 0, "C": 2, "F": 1}
-
-
 def closed_form(spec: LanguageSpec, n: int) -> int:
     """Exact walk count by the binomial-sum closed form (n = 0 gives 1)."""
     if n < 0:
@@ -60,8 +55,6 @@ def closed_form(spec: LanguageSpec, n: int) -> int:
         return 2 ** (2 * n * r) * central_binomial(n)
     if lid == "D":
         return 2 ** (2 * n * r) * catalan(n)
-    if r == 0:
-        return _R0_VALUES[lid]
     q = 2 ** r
     if lid == "B":
         return 2 * sum(
@@ -98,37 +91,15 @@ def closed_form(spec: LanguageSpec, n: int) -> int:
     return total // n
 
 
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
+def hyper_terminating(upper, lower, argument) -> Fraction:
+    """Evaluate a terminating hypergeometric sum pFq(upper; lower; argument) exactly.
 
-
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """Parameter lists of a terminating pFq evaluation at a rational argument."""
-
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
-    argument: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(Fraction(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(b) for b in self.lower))
-        object.__setattr__(self, "argument", Fraction(self.argument))
-        if not any(_is_nonpositive_integer(a) for a in self.upper):
-            raise ValueError("no termination witness: some upper parameter must be a nonpositive integer")
-
-    @property
-    def termination_index(self) -> int:
-        """Smallest K with an upper factor (a)_k vanishing for all k > K."""
-        return min(int(-a) for a in self.upper if _is_nonpositive_integer(a))
-
-
-def hyper_terminating(h: HypergeometricSpec) -> Fraction:
-    """Evaluate the finite hypergeometric sum exactly.
-
-    Terms are sum_k (prod upper Pochhammers / prod lower Pochhammers) z^k / k!,
-    stopping at the first vanishing upper Pochhammer.  A lower Pochhammer that
-    vanishes at or before that index makes the sum undefined.
+    Parameters and argument are ints or `Fraction`s.  Terms are
+    sum_k (prod upper Pochhammers / prod lower Pochhammers) z^k / k!, stopping
+    at the first vanishing upper Pochhammer; `ValueError` if no upper
+    parameter is a nonpositive integer, so the sum would not terminate.  A
+    lower Pochhammer that vanishes at or before that index makes the sum
+    undefined (`SingularParameterError`).
 
     With every parameter written p/q, the term ratio t_(k+1)/t_k is the
     integer quotient prod_upper (p + k q) prod_lower q' p_z over
@@ -136,19 +107,20 @@ def hyper_terminating(h: HypergeometricSpec) -> Fraction:
     the running sum are integers over one common, unreduced denominator, and
     the only `Fraction` is the one built from them at the end.
     """
-    K = h.termination_index
-    for b in h.lower:
-        if _is_nonpositive_integer(b) and -b < K:
+    upper = [a.as_integer_ratio() for a in upper]
+    lower = [b.as_integer_ratio() for b in lower]
+    witnesses = [-p for p, q in upper if q == 1 and p <= 0]
+    if not witnesses:
+        raise ValueError("no termination witness: some upper parameter must be a nonpositive integer")
+    K = min(witnesses)
+    for p, q in lower:
+        if q == 1 and 0 <= -p < K:
             raise SingularParameterError(
-                f"lower parameter {b} vanishes at k={int(-b) + 1}, "
-                f"before the terminating index {K}"
+                f"lower parameter {p} vanishes at k={1 - p}, before the terminating index {K}"
             )
-    upper = [(a.numerator, a.denominator) for a in h.upper]
-    lower = [(b.numerator, b.denominator) for b in h.lower]
-    up_scale = h.argument.numerator
+    up_scale, down_scale = argument.as_integer_ratio()
     for _, q in lower:
         up_scale *= q
-    down_scale = h.argument.denominator
     for _, q in upper:
         down_scale *= q
     total = term = denominator = 1
@@ -164,8 +136,11 @@ def hyper_terminating(h: HypergeometricSpec) -> Fraction:
     return Fraction(total, denominator)
 
 
-def hyper_parameters(spec: LanguageSpec, n: int) -> tuple[int, HypergeometricSpec]:
-    """Prefactor and pFq parameters whose product equals the walk count."""
+def hyper_parameters(
+    spec: LanguageSpec, n: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...], Fraction]:
+    """Prefactor, upper and lower parameters, and argument of the pFq whose
+    product with the prefactor equals the walk count."""
     if spec.id not in ("B", "C", "E", "F"):
         raise ValueError(f"hypergeometric form exists only for B, C, E, F, not {spec.id}")
     if spec.r < 1:
@@ -178,35 +153,21 @@ def hyper_parameters(spec: LanguageSpec, n: int) -> tuple[int, HypergeometricSpe
     z_full = Fraction(4 ** r, (q - 1) ** 2)
     if spec.id == "B":
         pre = 2 * (2 ** (2 * r * n) - 2 ** (r * (2 * n - 1)))
-        params = HypergeometricSpec(
-            (Fraction(-n), Fraction(-n + 1), Fraction((q - 1) * n + 1)),
-            (Fraction(1), Fraction((q - 1) * n)),
-            z_half,
-        )
-    elif spec.id == "C":
+        return pre, (-n, -n + 1, (q - 1) * n + 1), (1, (q - 1) * n), z_half
+    if spec.id == "C":
         pre = 2 ** (2 * r + 1) * (q - 1) ** (2 * n - 2)
-        params = HypergeometricSpec(
-            (Fraction(-n), Fraction(-n + 1), Fraction(-q * n + 1)),
-            (Fraction(1), Fraction(-q * n)),
-            z_full,
-        )
-    elif spec.id == "E":
+        return pre, (-n, -n + 1, -q * n + 1), (1, -q * n), z_full
+    if spec.id == "E":
         pre = 2 ** (2 * r * n) - 2 ** (r * (2 * n - 1))
-        params = HypergeometricSpec(
-            (Fraction(-n), Fraction(-n + 1)), (Fraction(2),), z_half
-        )
-    else:  # F
-        pre = 2 ** (2 * r) * (q - 1) ** (2 * n - 2)
-        params = HypergeometricSpec(
-            (Fraction(-n), Fraction(-n + 1)), (Fraction(2),), z_full
-        )
-    return pre, params
+        return pre, (-n, -n + 1), (2,), z_half
+    pre = 2 ** (2 * r) * (q - 1) ** (2 * n - 2)  # F
+    return pre, (-n, -n + 1), (2,), z_full
 
 
 def hyper_form(spec: LanguageSpec, n: int) -> int:
     """Walk count via the terminating hypergeometric evaluation."""
-    pre, params = hyper_parameters(spec, n)
-    value = pre * hyper_terminating(params)
+    pre, *params = hyper_parameters(spec, n)
+    value = pre * hyper_terminating(*params)
     if value.denominator != 1:
         raise ConsistencyError(
             f"hypergeometric form for {spec} at n={n} is not an integer: {value}"
@@ -229,7 +190,7 @@ class RecurrenceSpec:
 
 
 def recurrence_spec(spec: LanguageSpec) -> RecurrenceSpec:
-    """Recurrence and initial conditions for one family (r >= 1 for B,C,E,F)."""
+    """Recurrence and initial conditions for one family, for every r >= 0."""
     r = spec.r
     lid = spec.id
     if lid in ("A", "D"):
@@ -239,8 +200,6 @@ def recurrence_spec(spec: LanguageSpec) -> RecurrenceSpec:
             back1=lambda n: 2 ** (2 * r + 1) * (2 * n - 1),
             back2=lambda n: 0,
         )
-    if r < 1:
-        raise ValueError(f"no recurrence for {spec}: r=0 families are constant for n >= 1")
     q = 2 ** r
     a1 = 2 * q * q - 2 * q + 1  # 2^(2r+1) - 2^(r+1) + 1
     a2 = (2 * q - 1) ** 2       # (2^(r+1) - 1)^2
@@ -301,8 +260,6 @@ def recurrence_seq(spec: LanguageSpec, n_max: int) -> tuple[int, ...]:
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if spec.r == 0 and spec.id in _R0_VALUES:
-        return (1,) + (_R0_VALUES[spec.id],) * n_max
     rs = recurrence_spec(spec)
     for i, v in enumerate(rs.initial, start=1):
         if v != closed_form(spec, i):

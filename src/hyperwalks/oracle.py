@@ -30,16 +30,22 @@ from .automata import recognize
 DEFAULT_BUDGET = 1 << 22
 
 
-def _refuse_over_budget(what: str, r: int, n: int, budget: int) -> None:
-    """Raise BudgetExceeded if the (2^(r+1))^(2n) candidate words exceed the budget.
+def census_fits(r: int, n: int, budget: int) -> bool:
+    """Whether the (2^(r+1))^(2n) candidate words of length 2n fit the budget.
 
     Their number is 2^e with e = (r+1) 2n, which exceeds the budget exactly
-    when e reaches the budget's bit length, so neither the decision nor the
-    message builds a number of more than 20 digits.
+    when e reaches the budget's bit length, so the decision builds no large
+    number.
     """
-    exponent = (r + 1) * 2 * n
-    if exponent < max(budget, 0).bit_length():
+    return (r + 1) * 2 * n < max(budget, 0).bit_length()
+
+
+def _refuse_over_budget(what: str, r: int, n: int, budget: int) -> None:
+    """Raise BudgetExceeded unless `census_fits`; the message builds no
+    number of more than 20 digits."""
+    if census_fits(r, n, budget):
         return
+    exponent = (r + 1) * 2 * n
     count = f"{1 << (r + 1)}^{2 * n}"
     if exponent < 67:  # 2^66 has 20 digits
         count += f" = {1 << exponent}"
@@ -103,6 +109,8 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     touches all candidates, exactly like enumerate_words, without building
     word objects, and holds O(CENSUS_CHUNK) of them in memory.
     """
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n == 0:

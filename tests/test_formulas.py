@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hyperwalks import (
     ConsistencyError,
-    HypergeometricSpec,
     LanguageSpec,
     SingularParameterError,
     a_multi,
@@ -19,12 +18,13 @@ from hyperwalks import (
     closed_form,
     count_dp,
     count_dp_multi,
+    count_dp_seq,
     cross_ratio_check,
     hyper_form,
     hyper_terminating,
     recurrence_seq,
 )
-from hyperwalks.formulas import binomial, recurrence_spec
+from hyperwalks.formulas import _unroll, binomial, recurrence_spec
 
 
 def dyck_paths_with_peaks(n):
@@ -96,6 +96,15 @@ def test_closed_form_r0():
         assert closed_form(spec, 0) == 1
         for n in (1, 2, 7):
             assert closed_form(spec, n) == value
+    for lid in "ABCDEF":
+        spec = LanguageSpec(lid, 0)
+        assert tuple(closed_form(spec, n) for n in range(31)) == count_dp_seq(spec, 30)
+
+
+@pytest.mark.parametrize("lid", "ABCDEF")
+def test_recurrence_spec_r0_unrolls_to_dp(lid):
+    spec = LanguageSpec(lid, 0)
+    assert _unroll(recurrence_spec(spec), 30, "r=0") == count_dp_seq(spec, 30)
 
 
 @pytest.mark.parametrize("lid", "ABCDEF")
@@ -107,24 +116,23 @@ def test_closed_form_matches_dp(lid, r):
 
 
 def test_hyper_terminating_examples():
+    assert hyper_terminating((-2, -1, 3), (1, 2), Fraction(1, 4)) == Fraction(7, 4)
+    assert hyper_terminating((-2, -1), (2,), Fraction(1, 4)) == Fraction(5, 4)
+    assert hyper_terminating((0, 5), (3,), Fraction(9, 7)) == 1
     assert hyper_terminating(
-        HypergeometricSpec((-2, -1, 3), (1, 2), Fraction(1, 4))
-    ) == Fraction(7, 4)
-    assert hyper_terminating(
-        HypergeometricSpec((-2, -1), (2,), Fraction(1, 4))
-    ) == Fraction(5, 4)
-    assert hyper_terminating(HypergeometricSpec((0, 5), (3,), Fraction(9, 7))) == 1
+        (Fraction(-2), Fraction(1, 2)), (Fraction(3, 2),), 1
+    ) == Fraction(8, 15)
 
 
 def test_hyper_terminating_needs_witness():
-    with pytest.raises(ValueError):
-        HypergeometricSpec((Fraction(1, 2), 3), (1,), 1)
+    with pytest.raises(ValueError, match="termination witness"):
+        hyper_terminating((Fraction(1, 2), 3), (1,), 1)
 
 
 def test_hyper_terminating_singular_lower():
     # upper -3 terminates at K=3 but the lower parameter -1 vanishes at k=2
-    with pytest.raises(SingularParameterError):
-        hyper_terminating(HypergeometricSpec((-3,), (-1,), Fraction(1)))
+    with pytest.raises(SingularParameterError, match="k=2"):
+        hyper_terminating((-3,), (-1,), Fraction(1))
 
 
 def hyper_reference(upper, lower, z):
@@ -153,12 +161,11 @@ rationals = st.fractions(-12, 12, max_denominator=9)
     z=st.fractions(-9, 9, max_denominator=11),
 )
 def test_hyper_terminating_matches_term_by_term_reference(K, upper, lower, z):
-    h = HypergeometricSpec((*upper, -K), tuple(lower), z)
     if any(Fraction(b).denominator == 1 and 0 <= -b < K for b in lower):
         with pytest.raises(SingularParameterError):
-            hyper_terminating(h)
+            hyper_terminating((*upper, -K), lower, z)
     else:
-        assert hyper_terminating(h) == hyper_reference((*upper, -K), lower, z)
+        assert hyper_terminating((*upper, -K), lower, z) == hyper_reference((*upper, -K), lower, z)
 
 
 @pytest.mark.parametrize("lid", "BCEF")

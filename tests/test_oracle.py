@@ -162,6 +162,19 @@ def test_count_naive_single_language():
     assert naive_census(1, 2)["C"] == 56
 
 
+@pytest.mark.parametrize("r,n", [(-1, 2), (-2, 1), (-1, 0)])
+def test_naive_census_rejects_negative_r(r, n):
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        naive_census(r, n)
+
+
+@pytest.mark.parametrize("budget", [-5, 0, 1, 3, 4, 15, 16, 17, 4**6 - 1, 4**6, 4**6 + 1])
+def test_census_fits_is_the_candidate_count_within_budget(budget):
+    for r in range(3):
+        for n in range(5):
+            assert oracle.census_fits(r, n, budget) == ((1 << (r + 1)) ** (2 * n) <= budget)
+
+
 def test_naive_census_budget_refusal():
     with pytest.raises(BudgetExceeded):
         naive_census(2, 10, budget=1000)

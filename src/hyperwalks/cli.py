@@ -161,7 +161,3 @@ def _run(argv: Optional[Sequence[str]]) -> int:
 
 def entry() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry()

@@ -5,7 +5,8 @@ recurrence with polynomial coefficients, both valid for every r >= 0, and for
 r >= 1 an equivalent terminating hypergeometric evaluation.  All three are
 implemented independently so they can be cross-checked against each other and
 against the oracles; arithmetic is exact throughout (integers and rationals,
-never floats).
+never floats).  Each closed form is a Horner sum in (2^r - 1)^2 whose
+binomial products are updated from term to term by exact ratio.
 """
 
 from __future__ import annotations
@@ -20,13 +21,6 @@ from .core import ConsistencyError, LanguageSpec
 
 class SingularParameterError(ValueError):
     """A lower hypergeometric parameter vanishes before the series terminates."""
-
-
-def binomial(m: int, k: int) -> int:
-    """Binomial coefficient with C(m, k) = 0 outside 0 <= k <= m."""
-    if k < 0 or m < 0 or k > m:
-        return 0
-    return comb(m, k)
 
 
 def central_binomial(n: int) -> int:
@@ -44,7 +38,21 @@ def catalan(n: int) -> int:
 
 
 def closed_form(spec: LanguageSpec, n: int) -> int:
-    """Exact walk count by the binomial-sum closed form (n = 0 gives 1)."""
+    """Exact walk count by the binomial-sum closed form (n = 0 gives 1).
+
+    With q = 2^r and s = (q - 1)^2, the paper's sums are, over k = 1..n,
+
+        b_n = 2 sum s^(k-1) 2^(r(2n-2k+1)) C(n-1,k-1) ((q-1) C(n-1,k-1) + q C(n-1,k-2))
+        c_n = 2 sum s^(n-k) 2^(r(2k-1))    C(n-1,k-1) (q C(n-1,k-1) + (q-1) C(n-1,k-2))
+        e_n = (1/n) sum (q-1) s^(k-1) 2^(r(2n-2k+1)) C(n,k) C(n,k-1)
+        f_n = (1/n) sum s^(n-k) 2^(2rk) C(n,k) C(n,k-1)
+
+    Each is evaluated by Horner's rule in s (k downward for B and E, upward
+    for C and F), with the power of 2 as a left shift.  The binomial products
+    in a term come from the previous term's by exact ratio, one multiply and
+    one exact division each, so the loop keeps a few integers and no list.
+    At r = 0, s = 0 keeps only the s^0 term.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -52,40 +60,40 @@ def closed_form(spec: LanguageSpec, n: int) -> int:
     r = spec.r
     lid = spec.id
     if lid == "A":
-        return 2 ** (2 * n * r) * central_binomial(n)
+        return central_binomial(n) << (2 * n * r)
     if lid == "D":
-        return 2 ** (2 * n * r) * catalan(n)
-    q = 2 ** r
-    if lid == "B":
-        return 2 * sum(
-            (q - 1) ** (2 * k - 2)
-            * 2 ** (r * (2 * n - 2 * k + 1))
-            * binomial(n - 1, k - 1)
-            * ((q - 1) * binomial(n - 1, k - 1) + q * binomial(n - 1, k - 2))
-            for k in range(1, n + 1)
-        )
-    if lid == "C":
-        return 2 * sum(
-            (q - 1) ** (2 * n - 2 * k)
-            * 2 ** (r * (2 * k - 1))
-            * binomial(n - 1, k - 1)
-            * (q * binomial(n - 1, k - 1) + (q - 1) * binomial(n - 1, k - 2))
-            for k in range(1, n + 1)
-        )
+        return catalan(n) << (2 * n * r)
+    q = 1 << r
+    p = q - 1
+    s = p * p
+    total = 0
+    if lid in "BC":
+        # j = k - 1 runs over 0..m; square = C(m, j)^2, pair = C(m, j) C(m, j - 1)
+        m = n - 1
+        if lid == "B":
+            square, pair = 1, m
+            for j in range(m, -1, -1):
+                total = total * s + ((p * square + q * pair) << (r * (2 * (m - j) + 1)))
+                square = pair * j // (m - j + 1)
+                pair = square * (j - 1) // (m - j + 2)
+        else:
+            square, pair = 1, 0
+            for j in range(m + 1):
+                total = total * s + ((q * square + p * pair) << (r * (2 * j + 1)))
+                pair = square * (m - j) // (j + 1)
+                square = pair * (m - j) // (j + 1)
+        return 2 * total
+    # pair = C(n, k) C(n, k - 1)
+    pair = n
     if lid == "E":
-        total = sum(
-            (q - 1) ** (2 * k - 1)
-            * 2 ** (r * (2 * n - 2 * k + 1))
-            * comb(n, k) * comb(n, k - 1)
-            for k in range(1, n + 1)
-        )
+        for k in range(n, 0, -1):
+            total = total * s + (pair << (r * (2 * (n - k) + 1)))
+            pair = pair * (k * (k - 1)) // ((n - k + 1) * (n - k + 2))
+        total *= p
     else:  # F
-        total = sum(
-            (q - 1) ** (2 * n - 2 * k)
-            * 2 ** (2 * r * k)
-            * comb(n, k) * comb(n, k - 1)
-            for k in range(1, n + 1)
-        )
+        for k in range(1, n + 1):
+            total = total * s + (pair << (2 * r * k))
+            pair = pair * ((n - k) * (n - k + 1)) // (k * (k + 1))
     if total % n:
         raise ConsistencyError(f"closed form for {spec} at n={n} is not an integer")
     return total // n

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,6 +31,14 @@ def test_count_closed(capsys):
     code, out, _ = run(capsys, "count", "B", "--r", "1", "--n", "2", "--method", "closed")
     assert code == 0
     assert out.strip() == "28"
+
+
+def test_python_m_hyperwalks_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["hyperwalks", "count", "B", "--r", "1", "--n", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("hyperwalks", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == "28"
 
 
 def test_count_dp(capsys):

@@ -24,7 +24,7 @@ from hyperwalks import (
     hyper_terminating,
     recurrence_seq,
 )
-from hyperwalks.formulas import _unroll, binomial, recurrence_spec
+from hyperwalks.formulas import _unroll, recurrence_spec
 
 
 def dyck_paths_with_peaks(n):
@@ -77,12 +77,6 @@ def test_domain_errors():
         narayana(3, 4)
 
 
-def test_binomial_is_zero_outside_range():
-    assert binomial(5, -1) == 0
-    assert binomial(3, 4) == 0
-    assert binomial(4, 2) == 6
-
-
 def test_closed_form_examples():
     assert closed_form(LanguageSpec("C", 1), 2) == 56
     assert closed_form(LanguageSpec("D", 2), 2) == 512
@@ -99,6 +93,58 @@ def test_closed_form_r0():
     for lid in "ABCDEF":
         spec = LanguageSpec(lid, 0)
         assert tuple(closed_form(spec, n) for n in range(31)) == count_dp_seq(spec, 30)
+
+
+def closed_reference(spec, n):
+    """The paper's binomial sums for B, C, E and F, every factor of every term built afresh."""
+    def binomial(m, k):
+        return comb(m, k) if 0 <= k <= m else 0
+
+    if n == 0:
+        return 1
+    r, q = spec.r, 2**spec.r
+    if spec.id == "B":
+        return 2 * sum(
+            (q - 1) ** (2 * k - 2)
+            * 2 ** (r * (2 * n - 2 * k + 1))
+            * binomial(n - 1, k - 1)
+            * ((q - 1) * binomial(n - 1, k - 1) + q * binomial(n - 1, k - 2))
+            for k in range(1, n + 1)
+        )
+    if spec.id == "C":
+        return 2 * sum(
+            (q - 1) ** (2 * n - 2 * k)
+            * 2 ** (r * (2 * k - 1))
+            * binomial(n - 1, k - 1)
+            * (q * binomial(n - 1, k - 1) + (q - 1) * binomial(n - 1, k - 2))
+            for k in range(1, n + 1)
+        )
+    if spec.id == "E":
+        total = sum(
+            (q - 1) ** (2 * k - 1) * 2 ** (r * (2 * n - 2 * k + 1)) * comb(n, k) * comb(n, k - 1)
+            for k in range(1, n + 1)
+        )
+    else:
+        total = sum(
+            (q - 1) ** (2 * n - 2 * k) * 2 ** (2 * r * k) * comb(n, k) * comb(n, k - 1)
+            for k in range(1, n + 1)
+        )
+    return Fraction(total, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lid=st.sampled_from("BCEF"), r=st.integers(0, 5), n=st.integers(0, 150))
+def test_closed_form_matches_term_by_term_reference(lid, r, n):
+    assert closed_form(LanguageSpec(lid, r), n) == closed_reference(LanguageSpec(lid, r), n)
+
+
+@pytest.mark.parametrize("lid", "BCEF")
+@pytest.mark.parametrize("r", [1, 3])
+def test_closed_form_at_large_n(lid, r):
+    spec = LanguageSpec(lid, r)
+    assert closed_form(spec, 2000) == recurrence_seq(spec, 2000)[2000]
+    if r == 1:
+        assert closed_form(spec, 4000) == recurrence_seq(spec, 4000)[4000]
 
 
 @pytest.mark.parametrize("lid", "ABCDEF")

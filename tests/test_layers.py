@@ -53,6 +53,32 @@ def test_route_does_not_import_the_routes_it_is_checked_against(module, forbidde
     assert imported_modules(module) & forbidden == set()
 
 
+def names_used(module: str, function: str) -> set[str]:
+    """Names read in `function` and in the private module functions it calls, at any depth."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found, pending = set(), [function]
+    while pending:
+        name = pending.pop()
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Name) and node.id not in found:
+                found.add(node.id)
+                if node.id.startswith("_") and node.id in defs:
+                    pending.append(node.id)
+    return found
+
+
+def test_closed_form_calls_no_other_formula_route():
+    # closed_form shares its module with the routes it is checked against,
+    # so the import rule above cannot see whether it calls them.
+    routes = {
+        "recurrence_seq", "recurrence_spec", "_unroll",
+        "hyper_terminating", "hyper_parameters", "hyper_form",
+    }
+    assert names_used("formulas", "closed_form") & routes == set()
+    assert {"_unroll", "recurrence_spec"} <= names_used("formulas", "recurrence_seq")
+
+
 def test_import_scan_sees_relative_imports():
     assert {"core", "automata"} <= imported_modules("oracle")
     assert "formulas" in imported_modules("checks")

@@ -69,8 +69,16 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     return result
 
 
-#: Most candidates the census holds in memory at once.
-CENSUS_CHUNK = 1 << 20
+#: Most candidates the census holds in memory at once, unless one prefix
+#: followed by every step is more: 2^16 keeps a block near 1 MB, inside a
+#: per-core L2 cache.
+CENSUS_CHUNK = 1 << 16
+
+
+def _height_dtype(length: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds every height in
+    [-length, length]; it holds -(length + 1), so +length too."""
+    return np.min_scalar_type(-length - 1)
 
 
 def _append_steps(
@@ -105,9 +113,17 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     and half-space conditions, adjacent mask comparisons for the patterns.
     The leading steps of every candidate are laid out once; the candidates
     sharing a few leading prefixes are then built by appending the remaining
-    steps one at a time, at most CENSUS_CHUNK candidates at once.  This
-    touches all candidates, exactly like enumerate_words, without building
-    word objects, and holds O(CENSUS_CHUNK) of them in memory.
+    steps one at a time, at most max(CENSUS_CHUNK, 2^(r+1)) candidates at
+    once: the last step is always appended in a block, so an alphabet larger
+    than the chunk makes blocks of one prefix each.  This touches all
+    candidates, exactly like enumerate_words, without building word objects.
+
+    Memory: heights are stored in the narrowest signed dtype that holds
+    +-2n (int8 while 2n <= 127), so a block takes a few bytes per candidate
+    and the working set is O(CENSUS_CHUNK), about 1 MB at the default chunk.
+    The leading prefixes, laid out once, add at most
+    2^(2(r+1)) * candidates / CENSUS_CHUNK entries, or 2^(r+1) when that is
+    more.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
@@ -119,8 +135,8 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     size = 1 << (r + 1)
     length = 2 * n
     digits = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    signs = np.where(digits >> r & 1, -1, 1).astype(np.int16)
-    tail = 0
+    signs = np.where(digits >> r & 1, -1, 1).astype(_height_dtype(length))
+    tail = 1
     while tail < length - 1 and size ** (tail + 1) <= CENSUS_CHUNK:
         tail += 1
     # The one-step prefixes: a first step has no predecessor to clash with.

@@ -2,6 +2,7 @@ import tracemalloc
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import pytest
 
 import hyperwalks.oracle as oracle
@@ -137,6 +138,17 @@ def test_naive_census_across_chunks_matches_dp(r, n, budget):
         assert census[lid] == count_dp(LanguageSpec(lid, r), n)
 
 
+def census_peak(r: int, n: int, budget: int = oracle.DEFAULT_BUDGET) -> tuple[dict[str, int], int]:
+    """The census of (r, n) and the `tracemalloc` peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        census = naive_census(r, n, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return census, peak
+
+
 @pytest.mark.parametrize("chunk", [1, 3, 64])
 def test_naive_census_independent_of_chunk_size(monkeypatch, chunk):
     # Chunks of one candidate, of fewer candidates than the alphabet, and of
@@ -146,16 +158,34 @@ def test_naive_census_independent_of_chunk_size(monkeypatch, chunk):
         census = naive_census(r, n)
         for lid in "ABCDEF":
             assert census[lid] == count_dp(LanguageSpec(lid, r), n)
+    # Whatever the chunk, the 16^4 candidates are never all held at once; a
+    # chunk smaller than the 16-letter alphabet once held them all (0.5-0.6 MB).
+    # The blocks take about 0.03 MB.  The bound leaves room for CPython's free
+    # list, which keeps up to 2000 freed 5-tuples (0.16 MB) for reuse.
+    census, peak = census_peak(3, 2)
+    for lid in "ABCDEF":
+        assert census[lid] == count_dp(LanguageSpec(lid, 3), 2)
+    assert peak < 0.25 * 10**6, f"census of 16^4 candidates peaked at {peak / 1e6:.2f} MB"
 
 
 def test_naive_census_memory_is_bounded():
-    tracemalloc.start()
-    try:
-        naive_census(2, 4, 8**8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 10**6, f"census of 8^8 candidates peaked at {peak / 1e6:.1f} MB"
+    # About 1 MB at the default chunk, whatever the number of candidates.
+    for r, n in [(2, 4), (1, 6)]:
+        candidates = (1 << (r + 1)) ** (2 * n)
+        _, peak = census_peak(r, n, candidates)
+        assert peak < 4 * 10**6, f"census of {candidates} candidates peaked at {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("length,dtype", [
+    (126, np.int8), (127, np.int8), (128, np.int16), (129, np.int16),
+    (32767, np.int16), (32768, np.int32),
+])
+def test_height_dtype_is_the_narrowest_that_holds_both_signs(length, dtype):
+    # np.min_scalar_type(-128) is int8, which cannot hold +128.
+    held = oracle._height_dtype(length)
+    assert held == dtype
+    info = np.iinfo(held)
+    assert info.min <= -length and length <= info.max
 
 
 def test_count_naive_single_language():

@@ -62,14 +62,16 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
     """
     if w.r != r:
         raise DimensionMismatch(f"word has r={w.r}, machine expects r={r}")
+    rule_of = rules.get
+    tracked = 1 << r
     state, top, depth = ACCEPT, Z0, 0
     for step in w:
         # Determinism: the epsilon move fires only in the working state on a
         # bare Z0, where no consuming rule is defined; eager application below
         # makes that configuration unreachable here.
-        if state == WORK and depth == 0:
+        if depth == 0 and state == WORK:
             raise ConsistencyError("the working state faces a bare Z0")
-        rule = rules.get((state, -1 if step >> r & 1 else 1, top))
+        rule = rule_of((state, -1 if step & tracked else 1, top))
         if rule is None:
             return False
         state, symbol = rule
@@ -79,6 +81,8 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
             depth -= 1
             if depth == 0:
                 top = Z0
+                if state == WORK:
+                    state = ACCEPT
         else:
             if symbol == Z0 or (depth and symbol != top):
                 raise ConsistencyError(
@@ -86,8 +90,6 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
                 )
             top = symbol
             depth += 1
-        if state == WORK and depth == 0:
-            state = ACCEPT
     return state == ACCEPT and depth == 0
 
 

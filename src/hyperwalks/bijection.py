@@ -35,6 +35,13 @@ _FORCED = {
     for down in (False, True)
 }
 
+# For each step: the steps that may follow it (all but its negation), in
+# alphabet order, each with its change of the tracked height.
+_NEXT_STEPS = {
+    prev: tuple((step, -1 if step & _TRACKED else 1) for step in _ALPHABET if step != prev ^ 3)
+    for prev in _ALPHABET
+}
+
 
 class BijectionDomainError(ValueError):
     """Input outside the bijection's domain or codomain."""
@@ -85,27 +92,33 @@ def phi_inverse(p: tuple[int, ...]) -> Word:
     The path must be nonempty, its jumps nonzero ints (a zero jump is
     invisible, so admitting it would make every extent class infinite), its
     height never negative and its end at height 0.  The first run uses
-    (+1,+1).  For each
-    later run the tracked coordinate is the jump's sign; the first coordinate
-    is whichever of the two candidates is neither the previous run's step
-    (run maximality) nor its negation (backtrack avoidance).  Exactly one
-    candidate survives: _FORCED holds it.
+    (+1,+1).  For each later run the tracked coordinate is the jump's sign;
+    the first coordinate is whichever of the two candidates is neither the
+    previous run's step (run maximality) nor its negation (backtrack
+    avoidance).  Exactly one candidate survives: _FORCED holds it.
     """
     if len(p) == 0:
         raise BijectionDomainError("the bijection is defined on nonempty paths")
-    if not all(type(j) is int and j for j in p):
-        raise BijectionDomainError(f"path {p} has a jump that is not a nonzero int")
-    if not _is_valid_path(p):
+    # One pass validates; a bad jump is reported ahead of a dip wherever each is.
+    height, dipped = 0, False
+    for j in p:
+        if type(j) is not int or not j:
+            raise BijectionDomainError(f"path {p} has a jump that is not a nonzero int")
+        height += j
+        if height < 0:
+            dipped = True
+    if dipped or height:
         raise BijectionDomainError(f"path {p} leaves the quarter plane or does not end at height 0")
     # A valid path starts upward, so its first run is FIRST_STEP.
+    forced = _FORCED
     prev = FIRST_STEP
     steps = [FIRST_STEP] * p[0]
     for j in p[1:]:
-        candidates = _FORCED[prev, j < 0]
+        candidates = forced[prev, j < 0]
         if len(candidates) != 1:
             raise ConsistencyError("run reconstruction must be forced")
         prev = candidates[0]
-        steps.extend([prev] * abs(j))
+        steps += [prev] * abs(j)
     return Word(1, tuple(steps))
 
 
@@ -114,54 +127,70 @@ def enumerate_domain_walks(n: int) -> Iterator[Word]:
 
     Depth-first generation with exact pruning (nonnegative height that can
     still return to zero, no backtracking), so the cost is proportional to
-    the output, not to 4^(2n).
+    the output, not to 4^(2n).  The depth-first stack is explicit: one
+    iterator over the candidate next steps per position, so a walk costs no
+    chain of generator frames.
     """
     if n < 1:
         return
     length = 2 * n
-    prefix: list[int] = [FIRST_STEP]
-
-    def extend(height: int, position: int) -> Iterator[Word]:
-        if position == length:
-            if height == 0:
-                yield Word(1, tuple(prefix))
-            return
-        remaining = length - position
-        opposite = prefix[-1] ^ 3
-        for step in _ALPHABET:
-            if step == opposite:
-                continue
-            h = height + (-1 if step & _TRACKED else 1)
-            if h < 0 or h > remaining - 1:
+    prefix, heights = [FIRST_STEP], [1]
+    stack = [iter(_NEXT_STEPS[FIRST_STEP])]
+    while stack:
+        for step, rise in stack[-1]:
+            h = heights[-1] + rise
+            # the remaining steps after this one must be able to come back to 0
+            if h < 0 or h > length - len(prefix) - 1:
                 continue
             prefix.append(step)
-            yield from extend(h, position + 1)
+            if len(prefix) == length:
+                yield Word(1, tuple(prefix))
+                prefix.pop()
+                continue
+            heights.append(h)
+            stack.append(iter(_NEXT_STEPS[step]))
+            break
+        else:
+            stack.pop()
+            heights.pop()
             prefix.pop()
 
-    yield from extend(1, 1)
+
+def _jumps_from(left: int, height: int) -> Iterator[int]:
+    """The jumps, in the order 1, -1, 2, -2, ..., that keep a path at `height`
+    with `left` extent still to use nonnegative and able to end at height 0."""
+    return iter([jump for j in range(1, left + 1) for jump in (j, -j)
+                 if 0 <= height + jump <= left - j])
 
 
 def enumerate_diagonal_paths(n: int) -> Iterator[tuple[int, ...]]:
-    """All valid diagonal paths of extent 2n, in deterministic order."""
+    """All valid diagonal paths of extent 2n, in deterministic order.
+
+    Depth first, trying the jumps 1, -1, 2, -2, ... at each position, with an
+    explicit stack of (extent used, height, remaining jumps) per position.
+    """
     extent = 2 * n
+    if extent == 0:
+        yield ()
+    if extent <= 0:
+        return
     jumps: list[int] = []
-
-    def extend(used: int, height: int) -> Iterator[tuple[int, ...]]:
-        if used == extent:
-            if height == 0:
+    stack = [(0, 0, _jumps_from(extent, 0))]
+    while stack:
+        used, height, pending = stack[-1]
+        for jump in pending:
+            jumps.append(jump)
+            now = used + abs(jump)
+            if now == extent:
                 yield tuple(jumps)
-            return
-        left = extent - used
-        for j in range(1, left + 1):
-            for jump in (j, -j):
-                h = height + jump
-                if h < 0 or h > left - j:
-                    continue
-                jumps.append(jump)
-                yield from extend(used + j, h)
                 jumps.pop()
-
-    yield from extend(0, 0)
+                continue
+            stack.append((now, height + jump, _jumps_from(extent - now, height + jump)))
+            break
+        else:
+            stack.pop()
+            if jumps:
+                jumps.pop()
 
 
 def count_E_double_prime(n: int) -> int:
@@ -191,13 +220,22 @@ def verify_bijection(n: int) -> tuple[str, ...]:
 
     Checks that the forward map is total and injective on the domain walks,
     lands in the valid paths of extent 2n, is undone by the inverse, that the
-    inverse followed by the forward map fixes every valid path, and that the
-    two independent counts agree.  An empty tuple means the bijection holds.
+    inverse followed by the forward map fixes every valid path, that the path
+    enumerator yields every image once, and that the two independent counts
+    agree.  An empty tuple means the bijection holds.
+
+    The first loop proves phi_inverse(p) == w for p = phi(w) and marks each
+    such p.  Both maps are deterministic, so for a marked p,
+    phi(phi_inverse(p)) is phi(w) = p: the second loop computes the round
+    trip only for the enumerated paths left unmarked, and reports the same
+    failures as if it computed every one.
     """
     if n < 1:
         raise ValueError("bijection verification needs n >= 1")
     failures: list[str] = []
-    images: set[tuple[int, ...]] = set()
+    # Each image of phi -> whether its round trip is proven; None once the
+    # path enumerator has yielded it.
+    images: dict[tuple[int, ...], bool | None] = {}
     walk_count = 0
     for w in enumerate_domain_walks(n):
         walk_count += 1
@@ -211,8 +249,8 @@ def verify_bijection(n: int) -> tuple[str, ...]:
             continue
         if p in images:
             failures.append(f"phi is not injective: duplicate image {p}")
-        images.add(p)
-        if phi_inverse(p) != w:
+        images[p] = proven = phi_inverse(p) == w
+        if not proven:
             failures.append(f"phi_inverse(phi({w})) != identity")
     path_count = count_E_double_prime(n)
     if walk_count != path_count:
@@ -222,8 +260,14 @@ def verify_bijection(n: int) -> tuple[str, ...]:
     round_trip_paths = 0
     for p in enumerate_diagonal_paths(n):
         round_trip_paths += 1
-        if phi(phi_inverse(p)) != p:
+        proven = images.get(p, False)
+        if proven is None:
+            failures.append(f"the path enumerator repeats {p}")
+        images[p] = None
+        if not proven and phi(phi_inverse(p)) != p:
             failures.append(f"phi(phi_inverse({p})) != identity")
+    failures.extend(f"the path enumerator never yields {p}"
+                    for p, proven in images.items() if proven is not None)
     if round_trip_paths != path_count:
         failures.append(
             f"enumerated {round_trip_paths} paths but the DP counts {path_count}"

@@ -105,10 +105,16 @@ class Word:
 
 
 def parse_word(text: str, r: int) -> Word:
-    """Parse a comma-separated sequence of step strings, e.g. "++,--,+-"."""
+    """Parse a comma-separated sequence of step strings, e.g. "++,--,+-".
+
+    Each distinct step text is parsed once, in order of first appearance, so
+    the first bad step in the text is the one reported.
+    """
     if text == "":
         return Word(r, ())
-    return Word(r, tuple(parse_step(part, r) for part in text.split(",")))
+    parts = text.split(",")
+    masks = {part: parse_step(part, r) for part in dict.fromkeys(parts)}
+    return Word(r, tuple(map(masks.__getitem__, parts)))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import inspect
+import itertools
+
 import pytest
 
 import hyperwalks.bijection as bijection
@@ -13,6 +16,7 @@ from hyperwalks import (
     phi,
     phi_inverse,
     run_decompose,
+    step_alphabet,
     verify_bijection,
 )
 from hyperwalks.bijection import enumerate_diagonal_paths, enumerate_domain_walks
@@ -119,3 +123,97 @@ def test_verify_bijection_small():
 def test_verify_bijection_needs_positive_n():
     with pytest.raises(ValueError):
         verify_bijection(0)
+
+
+def test_enumerate_domain_walks_is_the_brute_force_in_order():
+    alphabet = step_alphabet(1)  # text order, so product order is lexicographic
+    for n in range(5):
+        expected = []
+        for rest in itertools.product(alphabet, repeat=2 * n - 1) if n else ():
+            steps = (bijection.FIRST_STEP, *rest)
+            heights = list(itertools.accumulate(-1 if s & 2 else 1 for s in steps))
+            backtracks = any(b == a ^ 3 for a, b in zip(steps, steps[1:]))
+            if min(heights) >= 0 and heights[-1] == 0 and not backtracks:
+                expected.append(Word(1, steps))
+        assert list(enumerate_domain_walks(n)) == expected
+
+
+def test_enumerate_diagonal_paths_is_the_brute_force_in_order():
+    # Every composition of 2n with every choice of signs, kept when valid and
+    # ordered as the enumerator tries jumps: 1, -1, 2, -2, ...
+    for n in range(5):
+        extent, expected = 2 * n, []
+        for cuts in itertools.product((False, True), repeat=max(extent - 1, 0)):
+            sizes = [1]
+            for cut in cuts:
+                if cut:
+                    sizes.append(1)
+                else:
+                    sizes[-1] += 1
+            sizes = sizes if extent else []
+            for signs in itertools.product((1, -1), repeat=len(sizes)):
+                path = tuple(s * j for s, j in zip(signs, sizes))
+                if all(h >= 0 for h in itertools.accumulate(path)) and sum(path) == 0:
+                    expected.append(path)
+        expected.sort(key=lambda path: [(abs(j), j < 0) for j in path])
+        assert list(enumerate_diagonal_paths(n)) == expected
+
+
+def test_enumerators_are_lazy():
+    # At n = 30 neither set fits in memory, so next() returns only if the
+    # enumerator yields the first member before it builds the rest.
+    walks, paths = enumerate_domain_walks(30), enumerate_diagonal_paths(30)
+    assert inspect.isgenerator(walks) and inspect.isgenerator(paths)
+    assert next(walks) == parse_word(",".join(["++"] * 30 + ["+-"] * 30), 1)
+    assert next(paths) == (1,) * 30 + (-1,) * 30
+
+
+def _corrupt(monkeypatch, name, corruption):
+    original = getattr(bijection, name)
+    monkeypatch.setattr(bijection, name, lambda arg: corruption(arg, original(arg)))
+
+
+def test_verify_bijection_reports_a_corrupted_inverse(monkeypatch):
+    # The last step -- of (2, 2, -4)'s walk becomes +-: still a member, so
+    # phi maps it back to another path.
+    _corrupt(monkeypatch, "phi_inverse", lambda p, w: Word(1, w.masks[:-1] + (2,))
+             if p == (2, 2, -4) else w)
+    assert verify_bijection(4) == (
+        "phi_inverse(phi(++,++,-+,-+,--,--,--,--)) != identity",
+        "phi(phi_inverse((2, 2, -4))) != identity",
+    )
+
+
+def test_verify_bijection_reports_a_corrupted_forward_map(monkeypatch):
+    _corrupt(monkeypatch, "phi", lambda w, p: (1, -1, 3, -3) if p == (4, -4) else p)
+    assert verify_bijection(4) == (
+        "phi_inverse(phi(++,++,++,++,+-,+-,+-,+-)) != identity",
+        "phi is not injective: duplicate image (1, -1, 3, -3)",
+        "image size 184 != walk count 185",
+        "phi(phi_inverse((4, -4))) != identity",
+    )
+
+
+def test_verify_bijection_reports_a_corrupted_path_count(monkeypatch):
+    _corrupt(monkeypatch, "count_E_double_prime", lambda n, count: count + 1)
+    assert verify_bijection(4) == (
+        "walk count 185 != independent path count 186",
+        "enumerated 185 paths but the DP counts 186",
+    )
+
+
+def test_verify_bijection_reports_an_extra_enumerated_path(monkeypatch):
+    _corrupt(monkeypatch, "enumerate_diagonal_paths", lambda n, paths: [*paths, (1, -1)])
+    assert verify_bijection(4) == ("enumerated 186 paths but the DP counts 185",)
+
+
+@pytest.mark.parametrize("stand_in, failures", [
+    ((4, -3, -1), ("the path enumerator repeats (4, -3, -1)",
+                   "the path enumerator never yields (4, -4)")),
+    ((1, -1), ("the path enumerator never yields (4, -4)",)),
+], ids=["repeated", "other-extent"])
+def test_verify_bijection_reports_a_dropped_path(monkeypatch, stand_in, failures):
+    # The enumerator yields a stand-in in place of (4, -4), so the count still matches.
+    _corrupt(monkeypatch, "enumerate_diagonal_paths",
+             lambda n, paths: [stand_in if p == (4, -4) else p for p in paths])
+    assert verify_bijection(4) == failures

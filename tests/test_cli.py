@@ -393,6 +393,7 @@ def test_run_check_rejects_unknown_suite():
     "argv",
     [
         ("--n-max", "0", "--suites", "bijection"),
+        ("--r", "2..3", "--suites", "bijection", "--n-max", "3"),  # the bijection is at r = 1
         ("--r", "3", "--suites", "asymptotics"),
         ("--r", "0", "--suites", "ratios"),
         ("--r", "1", "--n-max", "0", "--suites", "symmetry"),

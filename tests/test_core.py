@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import hyperwalks.core as core
 from hyperwalks import (
     DimensionMismatch,
     LanguageSpec,
@@ -60,6 +61,19 @@ def test_word_round_trip():
     assert parse_word("", 2) == Word(2, ())
     assert parse_word("", 2) != Word(1, ())
     assert Word(2, ()).text() == ""
+
+
+def test_parse_word_parses_each_distinct_step_once_and_reports_the_first_bad_one(monkeypatch):
+    parsed = []
+    original = core.parse_step
+    monkeypatch.setattr(core, "parse_step", lambda text, r: parsed.append(text) or original(text, r))
+    assert parse_word("++,--,++,+-,--", 1) == Word(1, (0, 3, 0, 2, 3))
+    assert parsed == ["++", "--", "+-"]
+    with pytest.raises(StepFormatError, match="'x'") as caught:
+        parse_word("++,+x,--,x+,+x", 1)
+    assert caught.value.position == 2
+    with pytest.raises(StepFormatError, match="length 3"):
+        parse_word("++,+++,-", 1)
 
 
 def test_word_stores_its_masks_as_a_tuple():

@@ -63,14 +63,21 @@ def run_decompose(w: Word) -> tuple[tuple[int, int], ...]:
     return tuple(runs)
 
 
-def _is_valid_path(p: tuple[int, ...]) -> bool:
-    """Nonnegative at every prefix and back to height 0 at the end."""
-    height = 0
+def _path_error(p: tuple[int, ...]) -> str:
+    """Why p is not a valid diagonal path (see `phi_inverse`), or "" if it is.
+    One pass reports a bad jump ahead of a dip wherever each is."""
+    if len(p) == 0:
+        return "the bijection is defined on nonempty paths"
+    height, dipped = 0, False
     for j in p:
+        if type(j) is not int or not j:
+            return f"path {p} has a jump that is not a nonzero int"
         height += j
         if height < 0:
-            return False
-    return height == 0
+            dipped = True
+    if dipped or height:
+        return f"path {p} leaves the quarter plane or does not end at height 0"
+    return ""
 
 
 def phi(w: Word) -> tuple[int, ...]:
@@ -97,18 +104,9 @@ def phi_inverse(p: tuple[int, ...]) -> Word:
     previous run's step (run maximality) nor its negation (backtrack
     avoidance).  Exactly one candidate survives: _FORCED holds it.
     """
-    if len(p) == 0:
-        raise BijectionDomainError("the bijection is defined on nonempty paths")
-    # One pass validates; a bad jump is reported ahead of a dip wherever each is.
-    height, dipped = 0, False
-    for j in p:
-        if type(j) is not int or not j:
-            raise BijectionDomainError(f"path {p} has a jump that is not a nonzero int")
-        height += j
-        if height < 0:
-            dipped = True
-    if dipped or height:
-        raise BijectionDomainError(f"path {p} leaves the quarter plane or does not end at height 0")
+    error = _path_error(p)
+    if error:
+        raise BijectionDomainError(error)
     # A valid path starts upward, so its first run is FIRST_STEP.
     forced = _FORCED
     prev = FIRST_STEP
@@ -221,14 +219,15 @@ def verify_bijection(n: int) -> tuple[str, ...]:
     Checks that the forward map is total and injective on the domain walks,
     lands in the valid paths of extent 2n, is undone by the inverse, that the
     inverse followed by the forward map fixes every valid path, that the path
-    enumerator yields every image once, and that the two independent counts
-    agree.  An empty tuple means the bijection holds.
+    enumerator yields every image once and only valid paths, and that the two
+    independent counts agree.  An empty tuple means the bijection holds; a
+    `BijectionDomainError` from either map is one more failure, not a raise.
 
     The first loop proves phi_inverse(p) == w for p = phi(w) and marks each
     such p.  Both maps are deterministic, so for a marked p,
     phi(phi_inverse(p)) is phi(w) = p: the second loop computes the round
-    trip only for the enumerated paths left unmarked, and reports the same
-    failures as if it computed every one.
+    trip only for the valid enumerated paths left unmarked, and reports the
+    same failures as if it computed every one.
     """
     if n < 1:
         raise ValueError("bijection verification needs n >= 1")
@@ -244,7 +243,7 @@ def verify_bijection(n: int) -> tuple[str, ...]:
         except BijectionDomainError as exc:
             failures.append(f"phi rejected domain walk {w}: {exc}")
             continue
-        if not _is_valid_path(p) or sum(map(abs, p)) != 2 * n:
+        if _path_error(p) or sum(map(abs, p)) != 2 * n:
             failures.append(f"phi({w}) = {p} is not a valid path of extent {2 * n}")
             continue
         if p in images:
@@ -264,8 +263,15 @@ def verify_bijection(n: int) -> tuple[str, ...]:
         if proven is None:
             failures.append(f"the path enumerator repeats {p}")
         images[p] = None
-        if not proven and phi(phi_inverse(p)) != p:
-            failures.append(f"phi(phi_inverse({p})) != identity")
+        error = "" if proven else _path_error(p)
+        if error:
+            failures.append(f"the path enumerator yields an invalid path: {error}")
+        elif not proven:
+            try:
+                if phi(phi_inverse(p)) != p:
+                    failures.append(f"phi(phi_inverse({p})) != identity")
+            except BijectionDomainError as exc:
+                failures.append(f"phi(phi_inverse({p})) failed: {exc}")
     failures.extend(f"the path enumerator never yields {p}"
                     for p, proven in images.items() if proven is not None)
     if round_trip_paths != path_count:

@@ -6,7 +6,9 @@ r >= 1 an equivalent terminating hypergeometric evaluation.  All three are
 implemented independently so they can be cross-checked against each other and
 against the oracles; arithmetic is exact throughout (integers and rationals,
 never floats).  Each closed form is a Horner sum in (2^r - 1)^2 whose
-binomial products are updated from term to term by exact ratio.
+binomial products are updated from term to term by exact ratio.  A recurrence
+is data, the integer coefficients of the polynomials p_0..p_k in
+sum_i p_i(n) t_(n-i) = 0 (`RecurrenceSpec`), unrolled by one loop for any k.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable
 
 from .core import ConsistencyError, LanguageSpec
 
@@ -185,15 +186,22 @@ def hyper_form(spec: LanguageSpec, n: int) -> int:
 
 @dataclass(frozen=True)
 class RecurrenceSpec:
-    """A short recurrence lead(n)*t_n = back1(n)*t_(n-1) + back2(n)*t_(n-2).
+    """The recurrence sum_(i=0..k) p_i(n) t_(n-i) = 0, as data.
 
-    `initial` holds t_1..t_k; t_0 = 1 always (the empty walk).  The
-    recurrence gives t_n for n > k.
+    `coefficients[i]` holds the integer coefficients of the polynomial p_i,
+    lowest degree first, so two recurrences are the same exactly when their
+    coefficients are equal.  `initial` holds t_1..t_m with m >= k - 1;
+    t_0 = 1 always (the empty walk), and the recurrence gives t_n for n > m.
+    With q = 2^r, a1 = 2q^2 - 2q + 1 and a2 = (2q - 1)^2, the paper's are
+
+        A, D: (n+s) t_n = 2^(2r+1) (2n-1) t_(n-1), with s = 0 for A, 1 for D
+        B, C: n t_n = 2 (a1 (n-1) + q^2 - q) t_(n-1) - a2 (n-2) t_(n-2)
+        E, F: (n+1) t_n = a1 (2n-1) t_(n-1) - a2 (n-2) t_(n-2)
+
+    so B and C share their coefficients, and so do E and F.
     """
 
-    lead: Callable[[int], int]
-    back1: Callable[[int], int]
-    back2: Callable[[int], int]
+    coefficients: tuple[tuple[int, ...], ...]
     initial: tuple[int, ...] = ()
 
 
@@ -203,55 +211,43 @@ def recurrence_spec(spec: LanguageSpec) -> RecurrenceSpec:
     lid = spec.id
     if lid in ("A", "D"):
         shift = 0 if lid == "A" else 1
-        return RecurrenceSpec(
-            lead=lambda n: n + shift,
-            back1=lambda n: 2 ** (2 * r + 1) * (2 * n - 1),
-            back2=lambda n: 0,
-        )
+        return RecurrenceSpec(((shift, 1), (2 ** (2 * r + 1), -(2 ** (2 * r + 2)))))
     q = 2 ** r
+    p = q - 1
     a1 = 2 * q * q - 2 * q + 1  # 2^(2r+1) - 2^(r+1) + 1
     a2 = (2 * q - 1) ** 2       # (2^(r+1) - 1)^2
-    if lid == "B":
-        initial = (
-            2 ** (r + 1) * (q - 1),
-            2 ** (3 * r + 1) * (q - 1) + 2 ** (2 * r + 1) * (q - 1) ** 2 + 2 ** (r + 1) * (q - 1) ** 3,
-        )
-    elif lid == "C":
-        initial = (
-            2 ** (2 * r + 1),
-            2 ** (4 * r + 1) + 2 ** (3 * r + 1) * (q - 1) + 2 ** (2 * r + 1) * (q - 1) ** 2,
-        )
-    elif lid == "E":
-        initial = (q * (q - 1), 2 ** (3 * r) * (q - 1) + q * (q - 1) ** 3)
-    else:  # F
-        initial = (q * q, 2 ** (4 * r) + 2 ** (2 * r) * (q - 1) ** 2)
-    if lid in ("B", "C"):
-        return RecurrenceSpec(
-            lead=lambda n: n,
-            back1=lambda n: 2 * (a1 * (n - 1) + q * q - q),
-            back2=lambda n: -a2 * (n - 2),
-            initial=initial,
-        )
-    return RecurrenceSpec(
-        lead=lambda n: n + 1,
-        back1=lambda n: a1 * (2 * n - 1),
-        back2=lambda n: -a2 * (n - 2),
-        initial=initial,
-    )
+    initial = {
+        "B": (2 * q * p, 2 * q * p * (q * q + q * p + p * p)),
+        "C": (2 * q * q, 2 * q * q * (q * q + q * p + p * p)),
+        "E": (q * p, q * p * (q * q + p * p)),
+        "F": (q * q, q * q * (q * q + p * p)),
+    }[lid]
+    p0, p1 = ((0, 1), (2 * (a1 - q * q + q), -2 * a1)) if lid in "BC" else ((1, 1), (a1, -2 * a1))
+    return RecurrenceSpec((p0, p1, (-2 * a2, a2)), initial)
+
+
+def _at(p: tuple[int, ...], n: int) -> int:
+    """The polynomial with coefficients p, highest degree first, at n (Horner)."""
+    value = 0
+    for a in p:
+        value = value * n + a
+    return value
 
 
 def _unroll(rs: RecurrenceSpec, n_max: int, name: str) -> tuple[int, ...]:
-    """t_0..t_n_max from t_0 = 1, the initial terms, then the recurrence.
-
-    Every division by the leading coefficient must be exact and every term
-    nonnegative: the terms count walks.
-    """
+    """t_0..t_n_max from t_0 = 1, the initial terms, then the recurrence; each
+    division by p_0(n) must be exact and each term nonnegative (they count walks)."""
+    if len(rs.initial) < len(rs.coefficients) - 2:
+        raise ConsistencyError(f"{name}: order {len(rs.coefficients) - 1} needs more initial terms")
     values = [1, *rs.initial][: n_max + 1]
+    lead, first, *rest = [p[::-1] for p in rs.coefficients]
+    rest = list(enumerate(rest, start=2))
     for n in range(len(values), n_max + 1):
-        rhs = rs.back1(n) * values[n - 1]
-        if n >= 2:
-            rhs += rs.back2(n) * values[n - 2]
-        quotient, remainder = divmod(rhs, rs.lead(n))
+        # starting from the t_(n-1) term spares adding a big term to 0
+        rhs = _at(first, n) * values[n - 1]
+        for i, p in rest:
+            rhs += _at(p, n) * values[n - i]
+        quotient, remainder = divmod(rhs, -_at(lead, n))
         if remainder:
             raise ConsistencyError(f"{name} at n={n}: inexact division")
         if quotient < 0:
@@ -292,11 +288,9 @@ def a_multi_recurrence(r: int, j: int, n_max: int) -> tuple[int, ...]:
         raise ValueError(f"need 0 <= j <= r, got j={j}, r={r}")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rs = RecurrenceSpec(
-        lead=lambda n: n ** (j + 1),
-        back1=lambda n: 2 ** (2 * r - j + 1) * (2 * n - 1) ** (j + 1),
-        back2=lambda n: 0,
-    )
+    # p_1(n) = -2^(2r-j+1) (2n-1)^(j+1), expanded by the binomial theorem
+    p1 = tuple((-1) ** (j + k) * comb(j + 1, k) << (2 * r - j + 1 + k) for k in range(j + 2))
+    rs = RecurrenceSpec(((0,) * (j + 1) + (1,), p1))
     return _unroll(rs, n_max, f"multi-hyperplane recurrence (r={r}, j={j})")
 
 

@@ -217,3 +217,34 @@ def test_verify_bijection_reports_a_dropped_path(monkeypatch, stand_in, failures
     _corrupt(monkeypatch, "enumerate_diagonal_paths",
              lambda n, paths: [stand_in if p == (4, -4) else p for p in paths])
     assert verify_bijection(4) == failures
+
+
+def test_verify_bijection_reports_a_zero_jump_image(monkeypatch):
+    # A zero jump passes the extent sum, so only the path validator catches
+    # it, and phi_inverse must never see the image.
+    _corrupt(monkeypatch, "phi", lambda w, p: (2, 0, -2) if p == (2, -2) else p)
+    assert verify_bijection(2) == (
+        "phi(++,++,+-,+-) = (2, 0, -2) is not a valid path of extent 4",
+        "image size 4 != walk count 5",
+        "phi(phi_inverse((2, -2))) != identity",
+    )
+
+
+def test_verify_bijection_reports_an_invalid_enumerated_path(monkeypatch):
+    _corrupt(monkeypatch, "enumerate_diagonal_paths",
+             lambda n, paths: [(2, 0, -2) if p == (2, -2) else p for p in paths])
+    assert verify_bijection(2) == (
+        "the path enumerator yields an invalid path: "
+        "path (2, 0, -2) has a jump that is not a nonzero int",
+        "the path enumerator never yields (2, -2)",
+    )
+
+
+def test_verify_bijection_reports_a_domain_error_in_the_round_trip(monkeypatch):
+    # The inverse of (2, -2) starts with -+, which phi refuses.
+    _corrupt(monkeypatch, "phi_inverse",
+             lambda p, w: Word(1, (1,) + w.masks[1:]) if p == (2, -2) else w)
+    assert verify_bijection(2) == (
+        "phi_inverse(phi(++,++,+-,+-)) != identity",
+        "phi(phi_inverse((2, -2))) failed: walk must start with ++, got -+",
+    )

@@ -368,7 +368,7 @@ sys.exit(main(["check", "--r", "1", "--n-max", "5", "--suites", "methods"]))
 
 
 def test_check_detects_corrupted_initial_condition(capsys, monkeypatch):
-    good = recurrence_spec.__wrapped__ if hasattr(recurrence_spec, "__wrapped__") else recurrence_spec
+    good = recurrence_spec
 
     def corrupted(spec):
         rs = good(spec)
@@ -439,7 +439,8 @@ def test_count_recurrence_negative_term_exits_3(capsys, monkeypatch):
 
     def negated(spec):
         rs = good(spec)
-        return dataclasses.replace(rs, back1=lambda n: -rs.back1(n))
+        lead, p1 = rs.coefficients
+        return dataclasses.replace(rs, coefficients=(lead, tuple(-a for a in p1)))
 
     monkeypatch.setattr(formulas_module, "recurrence_spec", negated)
     code, out, err = run(capsys, "count", "A", "--r", "1", "--n", "3", "--method", "recurrence")

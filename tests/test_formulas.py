@@ -24,7 +24,7 @@ from hyperwalks import (
     hyper_terminating,
     recurrence_seq,
 )
-from hyperwalks.formulas import _unroll, recurrence_spec
+from hyperwalks.formulas import RecurrenceSpec, _unroll, recurrence_spec
 
 
 def dyck_paths_with_peaks(n):
@@ -279,10 +279,60 @@ def test_recurrence_inexact_division_guard(monkeypatch):
     import hyperwalks.formulas as formulas_module
 
     good = recurrence_spec(LanguageSpec("A", 1))
-    corrupt = dataclasses.replace(good, lead=lambda n: 3 * n)
+    corrupt = dataclasses.replace(good, coefficients=((0, 3), *good.coefficients[1:]))
     monkeypatch.setattr(formulas_module, "recurrence_spec", lambda spec: corrupt)
     with pytest.raises(ConsistencyError, match="inexact"):
         formulas_module.recurrence_seq(LanguageSpec("A", 1), 3)
+
+
+@pytest.mark.parametrize("lid", "ABCDEF")
+@pytest.mark.parametrize("r", range(5))
+def test_recurrence_spec_annihilates_the_closed_form(lid, r):
+    # The typed-in polynomials, evaluated term by term, against the closed
+    # form: sum_i p_i(n) t_(n-i) = 0 past the initial terms, with no _unroll.
+    spec = LanguageSpec(lid, r)
+    rs = recurrence_spec(spec)
+    assert all(type(a) is int for p in rs.coefficients for a in p)
+    assert all(type(t) is int for t in rs.initial)
+    t = [closed_form(spec, n) for n in range(41)]
+    for n in range(len(rs.initial) + 1, 41):
+        terms = [sum(a * n ** d for d, a in enumerate(p)) * t[n - i]
+                 for i, p in enumerate(rs.coefficients)]
+        assert sum(terms) == 0, n
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_recurrence_specs_compare_as_data(r, monkeypatch):
+    import hyperwalks.formulas as formulas_module
+
+    spec = {lid: recurrence_spec(LanguageSpec(lid, r)) for lid in "ABCDEF"}
+    assert spec["B"].coefficients == spec["C"].coefficients
+    assert spec["E"].coefficients == spec["F"].coefficients
+    assert spec["B"].coefficients != spec["E"].coefficients
+    assert spec["A"].coefficients != spec["D"].coefficients
+    unrolled = []
+    monkeypatch.setattr(formulas_module, "_unroll", lambda rs, n_max, name: unrolled.append(rs))
+    a_multi_recurrence(r, 0, 5)
+    assert unrolled == [spec["A"]]
+
+
+def toy_unroll(coefficients, initial, n_max):
+    return _unroll(RecurrenceSpec(coefficients, initial), n_max, "toy")
+
+
+def test_unroll_order_one_and_order_three():
+    # n t_n = (4n - 2) t_(n-1): the central binomials
+    central = toy_unroll(((0, 1), (2, -4)), (), 30)
+    assert central == tuple(comb(2 * n, n) for n in range(31))
+    # t_n = t_(n-1) + n t_(n-3), from t_0 = t_1 = t_2 = 1
+    expected = [1, 1, 1]
+    for n in range(3, 31):
+        expected.append(expected[n - 1] + n * expected[n - 3])
+    rs = ((1,), (-1,), (0,), (0, -1))
+    assert toy_unroll(rs, (1, 1), 30) == tuple(expected)
+    assert toy_unroll(rs, (1, 1), 1) == (1, 1)
+    with pytest.raises(ConsistencyError, match="initial terms"):
+        toy_unroll(rs, (1,), 30)
 
 
 def test_a_multi_examples():

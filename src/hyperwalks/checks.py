@@ -59,9 +59,9 @@ def _dp(spec, ns, budget):
 def _series(spec, ns, budget):
     coefficients = series.gf_series(spec, ns[-1])
     for n in ns:
-        if coefficients[n].denominator != 1 or coefficients[n] < 0:
+        if coefficients[n] < 0:
             raise ConsistencyError(f"series coefficient {n} of {spec} is {coefficients[n]}")
-    return [coefficients[n].numerator for n in ns]
+    return [coefficients[n] for n in ns]
 
 
 @lru_cache(maxsize=64)

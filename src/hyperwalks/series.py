@@ -1,12 +1,9 @@
 """Exact generating-function expansion and singularity-driven asymptotics.
 
-The generating function of each family is algebraic; this module expands the
-published closed forms in exact rational arithmetic, one coefficient at a time
-from the first-order differential equation each product of square roots
-satisfies.  Each family's dominant singularity rho, exponent alpha and
-constant C are a plain (rho, alpha, C) tuple, and the asymptotic estimate
-count_n ~ C rho^(-n) n^(alpha-1) / Gamma(alpha) is evaluated in log space, so
-it holds at any n.
+Each family's generating function is one integer row, solved in exact
+integers.  Its dominant singularity rho, exponent alpha and constant C are a
+plain (rho, alpha, C) tuple; the estimate count_n ~ C rho^(-n) n^(alpha-1) /
+Gamma(alpha) is evaluated in log space, so it holds at any n.
 """
 
 from __future__ import annotations
@@ -25,82 +22,81 @@ def _times_one_minus(poly: list, c: int) -> list:
     return [a - c * b for a, b in zip(poly + [0], [0] + poly)]
 
 
-def _expand(factors: Sequence[tuple[int, Fraction]], N: int) -> tuple[Fraction, ...]:
-    """Coefficients 0..N of y = prod (1 - c x)^alpha over the (c, alpha) factors.
+def _expand(factors: Sequence[tuple[int, int]], N: int) -> tuple[int, ...]:
+    """Coefficients 0..N of w = prod (1 - c x)^(h/2) over the integer (c, h) factors.
 
-    y satisfies Q y' = R y with Q = prod (1 - c_i x) and
-    R = sum alpha_i (-c_i) prod_(j != i) (1 - c_j x).  The coefficient of x^n
-    reads sum_k q_k (n+1-k) y_(n+1-k) = sum_k r_k y_(n-k), and q_0 = 1, so
-    each y_(n+1) follows from the few before it.
+    w satisfies 2Q w' = 2R w with Q = prod (1 - c_i x) and the integer
+    polynomial 2R = sum h_i (-c_i) prod_(j != i) (1 - c_j x).  The coefficient
+    of x^n reads sum_k 2 q_k (n+1-k) w_(n+1-k) = sum_k 2r_k w_(n-k), and
+    q_0 = 1, so each w_(n+1) is one division by 2(n + 1), which must be exact.
     """
-    q, r = [1], [Fraction(0)]
-    for c, alpha in factors:  # the product rule, one factor at a time
-        r = [a - alpha * c * b for a, b in zip(_times_one_minus(r, c), q + [0])]
+    q, r2 = [1], [0]
+    for c, h in factors:  # the product rule, one factor at a time
+        r2 = [a - h * c * b for a, b in zip(_times_one_minus(r2, c), q + [0])]
         q = _times_one_minus(q, c)
-    y = [Fraction(1)]
+    w = [1]
     for n in range(N):
-        total = sum(r[k] * y[n - k] for k in range(min(len(r), n + 1)))
-        total -= sum(q[k] * (n + 1 - k) * y[n + 1 - k] for k in range(1, min(len(q), n + 2)))
-        y.append(total / (n + 1))
-    return tuple(y)
+        total = sum(r2[k] * w[n - k] for k in range(min(len(r2), n + 1)))
+        total -= 2 * sum(q[k] * (n + 1 - k) * w[n + 1 - k] for k in range(1, min(len(q), n + 2)))
+        coefficient, remainder = divmod(total, 2 * (n + 1))
+        if remainder:
+            raise ConsistencyError(f"coefficient {n + 1} of {factors} is not an integer")
+        w.append(coefficient)
+    return tuple(w)
 
 
-def _shift_down(root: tuple[Fraction, ...], linear: int, scale: int) -> tuple[Fraction, ...]:
-    """(1 - linear x - root) / (scale x): the numerator's constant term must
-    vanish, and the quotient's constant term must be 1, the empty walk."""
-    numerator = [-c for c in root]
-    numerator[0] += 1
-    numerator[1] -= linear
-    if numerator[0] != 0:
-        raise ConsistencyError(
-            f"cannot divide by x: constant term is {numerator[0]}, expected 0"
-        )
-    result = tuple(c / scale for c in numerator[1:])
-    if result[0] != 1:
-        raise ConsistencyError(f"constant term after dividing by x is {result[0]}, expected 1")
-    return result
+def _row(spec: LanguageSpec) -> tuple:
+    """The family's row (factors, d, P0, c, k), as tabled in `gf_series`."""
+    r = spec.r
+    q, m, big = 2**r, 2 ** (r + 1) - 1, 4 ** (r + 1)
+    rows = {
+        "A": (((big, -1),), 1, (0,), 1, 0),
+        "D": (((big, 1),), 1, (1,), -big // 2, 1),
+        "B": (((1, 1), (m * m, -1)), 1, (0,), 1, 0),
+        "C": (((1, 1), (m * m, -1)), q, (1,), q - 1, 0),
+        "E": (((1, 1), (m * m, 1)), 1, (1, -1), -(2 ** (r + 1)) * (q - 1), 1),
+        "F": (((1, 1), (m * m, 1)), 1, (1, -m), -2 * (q - 1) ** 2, 1),
+    }
+    if r == 0:  # c = q - 1 = 0 would drop y from C, E and F
+        rows.update(C=(((1, -2),), 2, (1,), 1, 0), E=((), 1, (0,), 1, 0),
+                    F=(((1, -2),), 1, (0,), 1, 0))
+    return rows[spec.id]
 
 
-def _minus_one(series: list[Fraction]) -> tuple[Fraction, ...]:
-    return (series[0] - 1, *series[1:])
+def gf_series(spec: LanguageSpec, N: int) -> tuple[int, ...]:
+    """Coefficients 0..N of the family's closed-form generating function y.
 
+    Each family is one integer row (factors, d, P0, c, k): d w = P0(x) + c x^k y
+    with w = prod (1 - c_i x)^(h_i/2) over the (c_i, h_i) factors.  With
+    q = 2^r, m = 2q - 1 and big = 4^(r+1), the rows are
 
-def gf_series(spec: LanguageSpec, N: int) -> tuple[Fraction, ...]:
-    """Coefficients 0..N of the family's closed-form generating function.
+        A  (big, -1)          d = 1  P0 = 0       c = 1                k = 0
+        D  (big, 1)           d = 1  P0 = 1       c = -big/2           k = 1
+        B  (1, 1), (m^2, -1)  d = 1  P0 = 0       c = 1                k = 0
+        C  (1, 1), (m^2, -1)  d = q  P0 = 1       c = q - 1            k = 0
+        E  (1, 1), (m^2, 1)   d = 1  P0 = 1 - x   c = -2^(r+1)(q - 1)  k = 1
+        F  (1, 1), (m^2, 1)   d = 1  P0 = 1 - mx  c = -2(q - 1)^2      k = 1
 
-    Each closed form is a constant plus a rational multiple of a product of
-    square roots of (1 - c x), expanded by `_expand`.  The half-space forms
-    carry a removable singularity at x=0: the closed form is
-    (1 - linear x - root)/(scale x), so the root is expanded one order higher
-    and shifted down by `_shift_down`.
+    At r = 0, where q - 1 = 0, C is (1, -2) with d = 2 and P0 = 1, E has no
+    factors, and F is (1, -2); each has c = 1 and k = 0.  So
+    y_n = (d w_(n+k) - P0_(n+k)) / c, where the first k coefficients of
+    d w - P0 must vanish, every division must be exact, and y_0 must be 1, the
+    empty walk; otherwise `ConsistencyError` is raised.
     """
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    r = spec.r
-    lid = spec.id
-    big = 2 ** (2 * r + 2)
-    if lid == "A":
-        return _expand([(big, -HALF)], N)
-    if lid == "D":
-        return _shift_down(_expand([(big, HALF)], N + 1), 0, big // 2)
-    if r == 0:
-        if lid in "BE":  # only the empty walk
-            return _expand([], N)
-        f = _expand([(1, Fraction(-1))], N)  # 1/(1 - x)
-        # C = (1 + x)/(1 - x) = 2F - 1
-        return f if lid == "F" else _minus_one([2 * c for c in f])
-    q = 2 ** r
-    m = 2 * q - 1  # 2^(r+1) - 1
-    if lid in "BC":
-        b = _expand([(1, HALF), (m * m, -HALF)], N)
-        if lid == "B":
-            return b
-        # C = (q sqrt(1-x) - sqrt(1-m^2 x)) / ((q-1) sqrt(1-m^2 x)) = (q B - 1)/(q-1)
-        return tuple(c / (q - 1) for c in _minus_one([q * c for c in b]))
-    root = _expand([(1, HALF), (m * m, HALF)], N + 1)
-    if lid == "E":
-        return _shift_down(root, 1, 2 ** (r + 1) * (q - 1))
-    return _shift_down(root, m, 2 * (q - 1) ** 2)
+    factors, d, p0, c, k = _row(spec)
+    rest = [d * a for a in _expand(factors, N + k)]
+    for i, a in enumerate(p0):
+        rest[i] -= a
+    if any(rest[:k]):
+        raise ConsistencyError(f"cannot divide by x^{k}: d w - P0 starts {rest[:k]}")
+    if any(a % c for a in rest[k:]):
+        raise ConsistencyError(f"d w - P0 for {spec} is not a multiple of {c}")
+    y = tuple(a // c for a in rest[k:])
+    if y[0] != 1:
+        raise ConsistencyError(f"constant term of {spec} is {y[0]}, expected 1")
+    return y
 
 
 def asymptotic_form(spec: LanguageSpec) -> tuple[Fraction, Fraction, float]:

@@ -8,6 +8,8 @@ must stay where it looks for them.
 
 import ast
 import importlib
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,6 +100,26 @@ def test_checks_binds_no_route_function():
     ]
     assert "DEFAULT_BUDGET" in names
     assert [name for name in names if not name.isupper()] == []
+
+
+def test_library_imports_only_the_stdlib_and_declared_dependencies():
+    # A package that is installed in a development environment but not declared
+    # (sympy, say) would pass every other test and fail only on a clean install.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", dep)[0].replace("-", "_").lower()
+                for dep in pyproject["project"]["dependencies"]}
+    allowed = set(sys.stdlib_module_names) | {"hyperwalks"} | declared
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
 
 
 def test_all_is_sorted_unique_and_resolves():

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperwalks import (
+    ConsistencyError,
     LanguageSpec,
     asymptotic_form,
     asymptotic_ratio,
     gf_series,
     recurrence_seq,
 )
-from hyperwalks.series import _expand
+from hyperwalks import series
+from hyperwalks.series import _expand, _row
 
 
 def schoolbook_product(a, b):
@@ -30,12 +32,14 @@ def power_of_one_minus(c, power, order):
     return [(n + 1) * c**n for n in range(order + 1)]
 
 
+# A square root (1 - c x)^(1/2 or -1/2) has integer coefficients when 4 divides c.
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.tuples(
-            st.integers(min_value=-20, max_value=20),
-            st.sampled_from([Fraction(1, 2), Fraction(-1, 2), Fraction(-1)]),
+        st.one_of(
+            st.tuples(st.integers(min_value=-5, max_value=5).map(lambda t: 4 * t),
+                      st.sampled_from([1, -1])),
+            st.tuples(st.integers(min_value=-20, max_value=20), st.just(-2)),
         ),
         max_size=3,
     )
@@ -45,9 +49,32 @@ def test_expansion_squares_to_its_product(factors):
     y = _expand(factors, order)
     assert len(y) == order + 1
     target = [1] + [0] * order
-    for c, alpha in factors:
-        target = schoolbook_product(target, power_of_one_minus(c, int(2 * alpha), order))
+    for c, h in factors:
+        target = schoolbook_product(target, power_of_one_minus(c, h, order))
     assert schoolbook_product(y, y) == target
+
+
+def test_expansion_rejects_a_non_integer_coefficient():
+    with pytest.raises(ConsistencyError):
+        _expand([(3, 1)], 2)  # sqrt(1 - 3x) = 1 - 3/2 x - ...
+
+
+@pytest.mark.parametrize("lid", "ABCDEF")
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_gf_series_coefficients_are_ints(lid, r):
+    assert all(type(c) is int for c in gf_series(LanguageSpec(lid, r), 60))
+
+
+@pytest.mark.parametrize("lid,r,p0", [
+    ("A", 1, (1,)),  # y_0 = 0, not the empty walk
+    ("D", 1, (0,)),  # d w - P0 does not vanish at x^0, so it cannot be divided by x
+    ("E", 1, (1, 0)),  # d w - P0 is not a multiple of c
+])
+def test_gf_series_rejects_a_row_with_a_wrong_p0(monkeypatch, lid, r, p0):
+    factors, d, _, c, k = _row(LanguageSpec(lid, r))
+    monkeypatch.setattr(series, "_row", lambda spec: (factors, d, p0, c, k))
+    with pytest.raises(ConsistencyError):
+        gf_series(LanguageSpec(lid, r), 10)
 
 
 def test_gf_series_examples():
@@ -76,6 +103,26 @@ def test_asymptotic_form_examples():
     assert math.isclose(constant, math.sqrt(8) / 3)
     assert asymptotic_form(LanguageSpec("A", 0)) == (Fraction(1, 4), Fraction(1, 2), 1.0)
     assert asymptotic_form(LanguageSpec("F", 1))[:2] == (Fraction(1, 9), Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("lid,r", [
+    (lid, r) for lid in "ABCDEF" for r in range(7) if r >= 1 or lid in "AD"
+])
+def test_asymptotic_form_matches_its_row(lid, r):
+    # Singularity analysis: near rho = 1/c_max, y ~ (d / (c rho^k)) * (the other
+    # factors at rho) * (1 - x/rho)^(h/2), so alpha = -h/2.  The typed constants
+    # are an independent reference for the row.
+    spec = LanguageSpec(lid, r)
+    factors, d, _, c, k = _row(spec)
+    c_max, h = max(factors)
+    rho = Fraction(1, c_max)
+    constant = float(d / (c * rho**k))
+    for c_j, h_j in factors:
+        if c_j != c_max:
+            constant *= float(1 - c_j * rho) ** (h_j / 2)
+    typed_rho, typed_alpha, typed_constant = asymptotic_form(spec)
+    assert (typed_rho, typed_alpha) == (rho, Fraction(-h, 2))
+    assert math.isclose(typed_constant, constant, rel_tol=1e-12)
 
 
 def test_asymptotic_form_domain():

@@ -12,7 +12,8 @@ first coordinate per run.
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import cache
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import ConsistencyError, LanguageSpec, Word, step_alphabet
 from .automata import recognize
@@ -33,13 +34,6 @@ _FORCED = {
     )
     for prev in _ALPHABET
     for down in (False, True)
-}
-
-# For each step: the steps that may follow it (all but its negation), in
-# alphabet order, each with its change of the tracked height.
-_NEXT_STEPS = {
-    prev: tuple((step, -1 if step & _TRACKED else 1) for step in _ALPHABET if step != prev ^ 3)
-    for prev in _ALPHABET
 }
 
 
@@ -120,75 +114,74 @@ def phi_inverse(p: tuple[int, ...]) -> Word:
     return Word(1, tuple(steps))
 
 
+def _depth_first(children: Callable[[Any], Iterable[tuple[Any, Any]]], root: Any) -> Iterator[list]:
+    """The labels along every root-to-leaf path of a tree, depth first.
+
+    `children(node)` gives the node's (label, child) pairs in the order to
+    visit them; a child of None is a leaf.  The stack is explicit, one
+    iterator over the pending children per level, so a deep tree costs no
+    chain of generator frames.  The yielded list is reused for the next
+    leaf: a caller that keeps it must copy it.
+    """
+    labels: list = []
+    stack = [iter(children(root))]
+    while stack:
+        for label, child in stack[-1]:
+            labels.append(label)
+            if child is not None:
+                stack.append(iter(children(child)))
+                break
+            yield labels
+            labels.pop()
+        else:
+            stack.pop()
+            del labels[-1:]  # the label of the node just finished; the root has none
+
+
 def enumerate_domain_walks(n: int) -> Iterator[Word]:
     """All length-2n walks in the bijection's domain, lexicographically.
 
-    Depth-first generation with exact pruning (nonnegative height that can
-    still return to zero, no backtracking), so the cost is proportional to
-    the output, not to 4^(2n).  The depth-first stack is explicit: one
-    iterator over the candidate next steps per position, so a walk costs no
-    chain of generator frames.
+    Depth first over nodes (last step, height, steps left) with exact pruning
+    (no backtracking, nonnegative height that can still return to zero), so
+    the cost is proportional to the output, not to 4^(2n).  Each node's
+    children are computed once per call.
     """
     if n < 1:
         return
-    length = 2 * n
-    prefix, heights = [FIRST_STEP], [1]
-    stack = [iter(_NEXT_STEPS[FIRST_STEP])]
-    while stack:
-        for step, rise in stack[-1]:
-            h = heights[-1] + rise
-            # the remaining steps after this one must be able to come back to 0
-            if h < 0 or h > length - len(prefix) - 1:
-                continue
-            prefix.append(step)
-            if len(prefix) == length:
-                yield Word(1, tuple(prefix))
-                prefix.pop()
-                continue
-            heights.append(h)
-            stack.append(iter(_NEXT_STEPS[step]))
-            break
-        else:
-            stack.pop()
-            heights.pop()
-            prefix.pop()
 
+    @cache
+    def children(node: tuple[int, int, int]) -> tuple:
+        prev, height, left = node
+        # step & _TRACKED is 0 for an up step and 2 for a down step; the left - 1
+        # steps after this one must be able to bring the height back to 0
+        return tuple((step, (step, h, left - 1) if left > 1 else None) for step in _ALPHABET
+                     if step != prev ^ 3 and 0 <= (h := height + 1 - (step & _TRACKED)) < left)
 
-def _jumps_from(left: int, height: int) -> Iterator[int]:
-    """The jumps, in the order 1, -1, 2, -2, ..., that keep a path at `height`
-    with `left` extent still to use nonnegative and able to end at height 0."""
-    return iter([jump for j in range(1, left + 1) for jump in (j, -j)
-                 if 0 <= height + jump <= left - j])
+    for steps in _depth_first(children, (FIRST_STEP, 1, 2 * n - 1)):
+        yield Word(1, (FIRST_STEP, *steps))
 
 
 def enumerate_diagonal_paths(n: int) -> Iterator[tuple[int, ...]]:
     """All valid diagonal paths of extent 2n, in deterministic order.
 
-    Depth first, trying the jumps 1, -1, 2, -2, ... at each position, with an
-    explicit stack of (extent used, height, remaining jumps) per position.
+    Depth first over nodes (extent left, height), trying the jumps 1, -1, 2,
+    -2, ... that keep the height nonnegative and able to end at 0.  Each
+    node's children are computed once per call.
     """
-    extent = 2 * n
-    if extent == 0:
+    if n == 0:
         yield ()
-    if extent <= 0:
+    if n < 1:
         return
-    jumps: list[int] = []
-    stack = [(0, 0, _jumps_from(extent, 0))]
-    while stack:
-        used, height, pending = stack[-1]
-        for jump in pending:
-            jumps.append(jump)
-            now = used + abs(jump)
-            if now == extent:
-                yield tuple(jumps)
-                jumps.pop()
-                continue
-            stack.append((now, height + jump, _jumps_from(extent - now, height + jump)))
-            break
-        else:
-            stack.pop()
-            if jumps:
-                jumps.pop()
+
+    @cache
+    def children(node: tuple[int, int]) -> tuple:
+        left, height = node
+        return tuple((jump, (left - j, height + jump) if left > j else None)
+                     for j in range(1, left + 1) for jump in (j, -j)
+                     if 0 <= height + jump <= left - j)
+
+    for jumps in _depth_first(children, (2 * n, 0)):
+        yield tuple(jumps)
 
 
 def count_E_double_prime(n: int) -> int:
@@ -243,14 +236,21 @@ def verify_bijection(n: int) -> tuple[str, ...]:
         except BijectionDomainError as exc:
             failures.append(f"phi rejected domain walk {w}: {exc}")
             continue
-        if _path_error(p) or sum(map(abs, p)) != 2 * n:
+        # phi_inverse validates p; _path_error only names why it raised
+        try:
+            proven = phi_inverse(p) == w
+            valid, failure = True, "" if proven else f"phi_inverse(phi({w})) != identity"
+        except BijectionDomainError as exc:
+            valid = not _path_error(p)
+            proven, failure = False, f"phi_inverse(phi({w})) failed: {exc}"
+        if not valid or sum(map(abs, p)) != 2 * n:
             failures.append(f"phi({w}) = {p} is not a valid path of extent {2 * n}")
             continue
         if p in images:
             failures.append(f"phi is not injective: duplicate image {p}")
-        images[p] = proven = phi_inverse(p) == w
-        if not proven:
-            failures.append(f"phi_inverse(phi({w})) != identity")
+        images[p] = proven
+        if failure:
+            failures.append(failure)
     path_count = count_E_double_prime(n)
     if walk_count != path_count:
         failures.append(f"walk count {walk_count} != independent path count {path_count}")

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+from functools import cache
 
 import pytest
 
@@ -221,7 +222,7 @@ def test_verify_bijection_reports_a_dropped_path(monkeypatch, stand_in, failures
 
 def test_verify_bijection_reports_a_zero_jump_image(monkeypatch):
     # A zero jump passes the extent sum, so only the path validator catches
-    # it, and phi_inverse must never see the image.
+    # it: phi_inverse refuses the image, and the validator names it invalid.
     _corrupt(monkeypatch, "phi", lambda w, p: (2, 0, -2) if p == (2, -2) else p)
     assert verify_bijection(2) == (
         "phi(++,++,+-,+-) = (2, 0, -2) is not a valid path of extent 4",
@@ -248,3 +249,50 @@ def test_verify_bijection_reports_a_domain_error_in_the_round_trip(monkeypatch):
         "phi_inverse(phi(++,++,+-,+-)) != identity",
         "phi(phi_inverse((2, -2))) failed: walk must start with ++, got -+",
     )
+
+
+def test_verify_bijection_reports_an_inverse_that_raises(monkeypatch):
+    # The image (2, -2) is valid, so the inverse's error is a failure to
+    # report, not a sign of an invalid image.
+    def refuse(p, w):
+        if p == (2, -2):
+            raise BijectionDomainError("boom")
+        return w
+    _corrupt(monkeypatch, "phi_inverse", refuse)
+    assert verify_bijection(2) == (
+        "phi_inverse(phi(++,++,+-,+-)) failed: boom",
+        "phi(phi_inverse((2, -2))) failed: boom",
+    )
+
+
+def test_depth_first_yields_the_leaves_in_order():
+    tree = {"root": [("a", "x"), ("b", None), ("c", "y")],
+            "x": [("d", None), ("e", "z")], "y": [], "z": [("f", None), ("g", None)]}
+    asked = []
+
+    def children(node):
+        asked.append(node)
+        return tree[node]
+    leaves = [tuple(labels) for labels in bijection._depth_first(children, "root")]
+    assert leaves == [("a", "d"), ("a", "e", "f"), ("a", "e", "g"), ("b",)]
+    assert asked == ["root", "x", "z", "y"]
+
+
+def test_enumerators_expand_each_node_once_per_call(monkeypatch):
+    # Count the calls of each children rule behind its memo.
+    asked = []
+
+    def counted_cache(children):
+        def counted(node):
+            asked.append(node)
+            return children(node)
+        return cache(counted)
+    monkeypatch.setattr(bijection, "cache", counted_cache)
+    for enumerate_ in (enumerate_domain_walks, enumerate_diagonal_paths):
+        calls = []
+        for _ in range(2):
+            asked.clear()
+            assert sum(1 for _ in enumerate_(5)) == count_E_double_prime(5)
+            assert len(asked) == len(set(asked))
+            calls.append(list(asked))
+        assert calls[0] == calls[1]  # a second call does not reuse the first's memo

@@ -81,6 +81,17 @@ def test_closed_form_calls_no_other_formula_route():
     assert {"_unroll", "recurrence_spec"} <= names_used("formulas", "recurrence_seq")
 
 
+def test_path_count_does_not_walk_the_enumerated_tree():
+    # verify_bijection compares the path enumerator with count_E_double_prime;
+    # a count that ran the enumerator's walker or children rule would make
+    # that comparison vacuous.
+    enumerators = {"enumerate_domain_walks", "enumerate_diagonal_paths"}
+    shared = enumerators | {"_depth_first", "_path_error", "phi", "phi_inverse"}
+    assert names_used("bijection", "count_E_double_prime") & shared == set()
+    for enumerator in enumerators:
+        assert "_depth_first" in names_used("bijection", enumerator)
+
+
 def test_import_scan_sees_relative_imports():
     assert {"core", "automata"} <= imported_modules("oracle")
     assert "formulas" in imported_modules("checks")

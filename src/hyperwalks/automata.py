@@ -53,8 +53,11 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
 
     Every push repeats the current top symbol, so the stack is Z0 under a
     homogeneous body and is kept exactly as its top symbol plus the depth of
-    the body: (Z0, 0) is the bare bottom marker.  Each step is one table
-    lookup and O(1) work, and the stack invariants are checked on the way.
+    the body: (Z0, 0) is the bare bottom marker.  The table is read when the
+    machine starts and again whenever the state or the top symbol changes,
+    which fetches the two rules (tracked sign +1 and -1) of the new
+    configuration; a step picks one of them by its sign and does O(1) work,
+    and the stack invariants are checked on every step.
 
     The epsilon return to the accepting state is applied eagerly whenever the
     working state sees a bare Z0, so no configuration ever faces a choice
@@ -65,31 +68,36 @@ def _simulate(rules: dict, r: int, w: Word) -> bool:
     rule_of = rules.get
     tracked = 1 << r
     state, top, depth = ACCEPT, Z0, 0
+    up, down = rule_of((state, 1, top)), rule_of((state, -1, top))
     for step in w:
         # Determinism: the epsilon move fires only in the working state on a
         # bare Z0, where no consuming rule is defined; eager application below
         # makes that configuration unreachable here.
         if depth == 0 and state == WORK:
             raise ConsistencyError("the working state faces a bare Z0")
-        rule = rule_of((state, -1 if step & tracked else 1, top))
+        rule = down if step & tracked else up
         if rule is None:
             return False
-        state, symbol = rule
+        new_state, symbol = rule
+        new_top = top
         if symbol is POP:
             if depth == 0:
                 raise ConsistencyError("pop below the bottom marker Z0")
             depth -= 1
             if depth == 0:
-                top = Z0
-                if state == WORK:
-                    state = ACCEPT
+                new_top = Z0
+                if new_state == WORK:
+                    new_state = ACCEPT
         else:
             if symbol == Z0 or (depth and symbol != top):
                 raise ConsistencyError(
                     f"push of {symbol} onto {top} breaks the homogeneous stack body"
                 )
-            top = symbol
+            new_top = symbol
             depth += 1
+        if new_state != state or new_top != top:
+            state, top = new_state, new_top
+            up, down = rule_of((state, 1, top)), rule_of((state, -1, top))
     return state == ACCEPT and depth == 0
 
 

@@ -84,7 +84,7 @@ def phi(w: Word) -> tuple[int, ...]:
         raise BijectionDomainError(f"walk must start with ++, got {Word(1, w.masks[:1])}")
     if not recognize(E_LANGUAGE, w):
         raise BijectionDomainError(f"walk {w} is not a backtrack-free nonnegative plane walk")
-    return tuple(-m if step & _TRACKED else m for step, m in run_decompose(w))
+    return tuple([-m if step & _TRACKED else m for step, m in run_decompose(w)])
 
 
 def phi_inverse(p: tuple[int, ...]) -> Word:
@@ -104,14 +104,14 @@ def phi_inverse(p: tuple[int, ...]) -> Word:
     # A valid path starts upward, so its first run is FIRST_STEP.
     forced = _FORCED
     prev = FIRST_STEP
-    steps = [FIRST_STEP] * p[0]
+    steps = (FIRST_STEP,) * p[0]
     for j in p[1:]:
-        candidates = forced[prev, j < 0]
-        if len(candidates) != 1:
-            raise ConsistencyError("run reconstruction must be forced")
-        prev = candidates[0]
-        steps += [prev] * abs(j)
-    return Word(1, tuple(steps))
+        try:
+            (prev,) = forced[prev, j < 0]
+        except ValueError:
+            raise ConsistencyError("run reconstruction must be forced") from None
+        steps += (prev,) * abs(j)
+    return Word(1, steps)
 
 
 def _depth_first(children: Callable[[Any], Iterable[tuple[Any, Any]]], root: Any) -> Iterator[list]:

@@ -143,8 +143,11 @@ def _run(argv: Optional[Sequence[str]]) -> int:
             if args.json == "-":
                 print(report.to_json())
             elif args.json:
-                with open(args.json, "w") as out:
-                    print(report.to_json(), file=out)
+                try:
+                    with open(args.json, "w") as out:
+                        print(report.to_json(), file=out)
+                except OSError as exc:
+                    raise UsageError(f"cannot write --json {args.json}: {exc.strerror}") from None
             return 0 if report.ok else 1
         if args.command == "oeis":
             for index, value in oeis_fetch(args.sequence_id, cache_dir=args.cache_dir):

@@ -86,7 +86,8 @@ class Word:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError(f"r must be nonnegative, got {self.r}")
-        object.__setattr__(self, "masks", tuple(self.masks))
+        if type(self.masks) is not tuple:
+            object.__setattr__(self, "masks", tuple(self.masks))
         if self.masks and not (0 <= min(self.masks) and max(self.masks) < 1 << (self.r + 1)):
             raise DimensionMismatch(f"word has a step mask outside 0..{(1 << (self.r + 1)) - 1}")
 

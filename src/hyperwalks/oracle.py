@@ -69,9 +69,9 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     return result
 
 
-#: Most candidates the census holds in memory at once, unless one prefix
-#: followed by every step is more: 2^16 keeps a block near 1 MB, inside a
-#: per-core L2 cache.
+#: Most candidates the census compares at once, unless one head followed by
+#: every tail is more: 2^16 keeps a block near 1 MB, inside a per-core L2
+#: cache.
 CENSUS_CHUNK = 1 << 16
 
 
@@ -104,26 +104,45 @@ def _append_steps(
     )
 
 
+def _prefixes(length: int, digits: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_append_steps`'s arrays for every sequence of `length` >= 1 steps."""
+    # A first step has no predecessor to clash with.
+    no_clash = np.zeros(len(digits), dtype=bool)
+    prefixes = (signs, np.minimum(signs, 0), no_clash, no_clash, digits)
+    for _ in range(length - 1):
+        prefixes = _append_steps(prefixes, digits, signs)
+    return prefixes
+
+
 def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
     """Count members of all six languages by scanning every candidate word.
 
     Each candidate of length 2n over the 2^(r+1)-letter alphabet is a sequence
-    of step masks (bit i set means coordinate i+1 is -1).  Membership is
-    evaluated arithmetically per word: tracked prefix sums for the hyperplane
-    and half-space conditions, adjacent mask comparisons for the patterns.
-    The leading steps of every candidate are laid out once; the candidates
-    sharing a few leading prefixes are then built by appending the remaining
-    steps one at a time, at most max(CENSUS_CHUNK, 2^(r+1)) candidates at
-    once: the last step is always appended in a block, so an alphabet larger
-    than the chunk makes blocks of one prefix each.  This touches all
-    candidates, exactly like enumerate_words, without building word objects.
+    of step masks (bit i set means coordinate i+1 is -1): a head followed by a
+    tail of the most steps `tail` with 2^((r+1) tail) <= CENSUS_CHUNK (at
+    least 1; the head keeps at least 1).  The heads and the tails are each
+    laid out once by `_prefixes`; a tail is read backwards with its signs
+    negated, so its arrays give minus its sum and whether it ever goes below
+    its end.  A candidate ends at 0 iff its head's height equals that negated
+    sum, and then stays >= 0 iff its head does and its tail never goes below
+    its end.  So each family gives every tail one key, its negated sum or an
+    impossible height where the tail alone excludes the family, and counts
+    the heads' heights that equal the key, minus those whose last step
+    clashes with the tail's first (the tails with one first step are one
+    slice).
+
+    The heads fall into 8 classes by a backtrack, a repeat and a dip below 0
+    in the head.  A class skips the families it excludes (B and E after a
+    backtrack, C and F after a repeat, D-F after a dip) and compares the rest
+    in 2-D blocks of heads x tails of at most max(CENSUS_CHUNK, tails)
+    candidates.  Every candidate is compared, exactly like enumerate_words,
+    without building word objects.
 
     Memory: heights are stored in the narrowest signed dtype that holds
-    +-2n (int8 while 2n <= 127), so a block takes a few bytes per candidate
-    and the working set is O(CENSUS_CHUNK), about 1 MB at the default chunk.
-    The leading prefixes, laid out once, add at most
-    2^(2(r+1)) * candidates / CENSUS_CHUNK entries, or 2^(r+1) when that is
-    more.
+    -(2n + 1)..2n (int8 while 2n <= 127), so a block takes a few bytes per
+    candidate and the working set is O(CENSUS_CHUNK), about 1 MB at the
+    default chunk.  The heads add candidates / tails < 2^(r+1) * candidates
+    / CENSUS_CHUNK entries, or 2^(r+1) when that is more.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
@@ -139,28 +158,38 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     tail = 1
     while tail < length - 1 and size ** (tail + 1) <= CENSUS_CHUNK:
         tail += 1
-    # The one-step prefixes: a first step has no predecessor to clash with.
-    no_clash = np.zeros(size, dtype=bool)
-    heads = (signs, np.minimum(signs, 0), no_clash, no_clash, digits)
-    for _ in range(length - tail - 1):
-        heads = _append_steps(heads, digits, signs)
-    group = max(1, CENSUS_CHUNK // size ** tail)
+    height, lowest, backtracks, repeats, last = _prefixes(length - tail, digits, signs)
+    # Read backwards with negated signs, a tail's height is minus its sum, and
+    # its lowest height is below 0 iff the tail goes below its end somewhere.
+    ends, back_lowest, tail_bt, tail_rep, _ = _prefixes(tail, digits, -signs)
+    falls = back_lowest < 0
+    never = -length - 1  # lower than any head
+    # family -> (the head classes it excludes, its tail keys, and the mask
+    # that the head's last step XORs with to give the clashing first step)
+    families = {
+        "A": (0, ends, None),
+        "B": (1, np.where(tail_bt, never, ends), size - 1),
+        "C": (2, np.where(tail_rep, never, ends), 0),
+        "D": (4, np.where(falls, never, ends), None),
+        "E": (5, np.where(falls | tail_bt, never, ends), size - 1),
+        "F": (6, np.where(falls | tail_rep, never, ends), 0),
+    }
+    classes = backtracks * 1 + repeats * 2 + (lowest < 0) * 4
+    group = max(1, CENSUS_CHUNK // len(ends))
     counts = dict.fromkeys("ABCDEF", 0)
-    for start in range(0, len(heads[0]), group):
-        words = tuple(a[start:start + group] for a in heads)
-        for _ in range(tail):
-            words = _append_steps(words, digits, signs)
-        height, lowest, backtracks, repeats, _ = words
-        ends_zero = height == 0
-        stays_up = ends_zero & (lowest >= 0)
-        no_bt = ~backtracks
-        no_rep = ~repeats
-        counts["A"] += int(np.count_nonzero(ends_zero))
-        counts["B"] += int(np.count_nonzero(ends_zero & no_bt))
-        counts["C"] += int(np.count_nonzero(ends_zero & no_rep))
-        counts["D"] += int(np.count_nonzero(stays_up))
-        counts["E"] += int(np.count_nonzero(stays_up & no_bt))
-        counts["F"] += int(np.count_nonzero(stays_up & no_rep))
+    for cls in range(8):
+        live = [(lid, key, flip) for lid, (gone, key, flip) in families.items() if not cls & gone]
+        heads = np.flatnonzero(classes == cls)
+        for start in range(0, len(heads), group):
+            block = heads[start:start + group]
+            h = height[block, None]
+            for lid, key, flip in live:
+                found = int(np.count_nonzero(key == h))
+                if flip is not None:
+                    # the tails with one first step are one slice: it is the top digit
+                    clashing = key.reshape(size, -1)[last[block] ^ flip]
+                    found -= int(np.count_nonzero(clashing == h))
+                counts[lid] += found
     return counts
 
 

@@ -5,12 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperwalks
 import hyperwalks.automata as automata
 from hyperwalks import (
+    ConsistencyError,
     DimensionMismatch,
     LanguageSpec,
     PatternKind,
@@ -165,6 +166,70 @@ def test_transition_table_drives_the_halfspace_machine(monkeypatch):
     assert not accepts_halfspace(1, up_down)
     assert not recognize(LanguageSpec("D", 1), up_down)
     assert accepts_halfspace(1, Word(1, ()))
+
+
+def reference_simulate(rules, r, w):
+    """The machine one step at a time, with an explicit stack: every step
+    looks its rule up in the table."""
+    state, stack = automata.ACCEPT, [automata.Z0]
+    for step in w:
+        if state == automata.WORK and len(stack) == 1:
+            raise ConsistencyError("the working state faces a bare Z0")
+        rule = rules.get((state, -1 if step >> r & 1 else 1, stack[-1]))
+        if rule is None:
+            return False
+        state, symbol = rule
+        if symbol is automata.POP:
+            if len(stack) == 1:
+                raise ConsistencyError("pop below the bottom marker Z0")
+            stack.pop()
+            if len(stack) == 1 and state == automata.WORK:
+                state = automata.ACCEPT
+        else:
+            if symbol == automata.Z0 or (len(stack) > 1 and symbol != stack[-1]):
+                raise ConsistencyError(
+                    f"push of {symbol} onto {stack[-1]} breaks the homogeneous stack body"
+                )
+            stack.append(symbol)
+    return state == automata.ACCEPT and len(stack) == 1
+
+
+def outcome(simulate, rules, r, w):
+    try:
+        return simulate(rules, r, w)
+    except ConsistencyError as exc:
+        return f"ConsistencyError: {exc}"
+
+
+STATES = (automata.ACCEPT, automata.WORK)
+SYMBOLS = (automata.Z0, automata.U, automata.D)
+
+# Every (state, sign, top) may be missing or hold any rule: one that changes
+# the state and keeps the top, a push onto Z0 or onto the other symbol, a pop.
+RULES = (None, *itertools.product(STATES, SYMBOLS + (automata.POP,)))
+rule_tables = st.fixed_dictionaries({
+    (state, sign, top): st.sampled_from(RULES)
+    for state in STATES for sign in (1, -1) for top in SYMBOLS
+}).map(lambda table: {key: rule for key, rule in table.items() if rule is not None})
+
+
+@st.composite
+def random_words(draw):
+    r = draw(st.integers(0, 2))
+    return Word(r, tuple(draw(st.lists(st.integers(0, (1 << (r + 1)) - 1), max_size=12))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rule_tables, random_words())
+@example(  # the second step changes the state and keeps the top: the third has no rule
+    {(automata.ACCEPT, 1, automata.Z0): (automata.WORK, automata.U),
+     (automata.WORK, 1, automata.U): (automata.ACCEPT, automata.U),
+     (automata.WORK, -1, automata.U): (automata.WORK, automata.POP)},
+    Word(0, (0, 0, 1, 1)),
+)
+def test_simulate_matches_a_step_at_a_time_interpreter(rules, w):
+    # _simulate fetches rules only when its configuration changes
+    assert outcome(automata._simulate, rules, w.r, w) == outcome(reference_simulate, rules, w.r, w)
 
 
 def test_optimized_interpreter_catches_corrupted_push():

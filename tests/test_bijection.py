@@ -87,12 +87,13 @@ def test_diagonal_path_validation_and_text():
 
 
 def test_phi_inverse_requires_a_forced_run_step(monkeypatch):
-    # With two steps left for a run, the inverse must refuse to choose
-    # instead of picking one.
-    forced = {key: steps + steps for key, steps in bijection._FORCED.items()}
-    monkeypatch.setattr(bijection, "_FORCED", forced)
-    with pytest.raises(ConsistencyError):
-        phi_inverse(WORKED_PATH)
+    # With two steps left for a run, or none, the inverse must refuse to
+    # choose instead of picking one.
+    for left in (2, 0):
+        forced = {key: (steps * 2)[:left] for key, steps in bijection._FORCED.items()}
+        monkeypatch.setattr(bijection, "_FORCED", forced)
+        with pytest.raises(ConsistencyError, match="run reconstruction must be forced"):
+            phi_inverse(WORKED_PATH)
 
 
 def test_count_E_double_prime_small():

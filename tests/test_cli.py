@@ -214,6 +214,15 @@ def test_check_unwritable_json_is_bad_input(capsys, tmp_path):
     assert str(path) in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_check_json_write_failure_is_bad_input(capsys):
+    # /dev/full opens, so the up-front path check passes; the write then fails
+    code, out, err = run(capsys, "check", "--r", "1", "--n-max", "2", "--json", "/dev/full")
+    assert code == 2
+    assert out.splitlines()[-1] == "OK: 75 cells checked, 0 disagreements"
+    assert err.startswith("error: cannot write --json /dev/full: ")
+
+
 def _plus_one_last(values):
     return values[:-1] + (values[-1] + 1,)
 

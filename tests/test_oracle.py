@@ -170,10 +170,13 @@ def test_naive_census_independent_of_chunk_size(monkeypatch, chunk):
 
 def test_naive_census_memory_is_bounded():
     # About 1 MB at the default chunk, whatever the number of candidates.
-    for r, n in [(2, 4), (1, 6)]:
+    # (5, 2) has 4096 heads of 4096 tails each, (0, 11) 64 heads of 2^16.
+    for r, n in [(2, 4), (1, 6), (5, 2), (0, 11)]:
         candidates = (1 << (r + 1)) ** (2 * n)
-        _, peak = census_peak(r, n, candidates)
+        census, peak = census_peak(r, n, candidates)
         assert peak < 4 * 10**6, f"census of {candidates} candidates peaked at {peak / 1e6:.1f} MB"
+        for lid in "ABCDEF":
+            assert census[lid] == count_dp(LanguageSpec(lid, r), n)
 
 
 @pytest.mark.parametrize("length,dtype", [

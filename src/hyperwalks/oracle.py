@@ -70,8 +70,8 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
 
 
 #: Most candidates the census compares at once, unless one head followed by
-#: every tail is more: 2^16 keeps a block near 1 MB, inside a per-core L2
-#: cache.
+#: every tail is more: 2^16 keeps its working set under 1 MB, inside a
+#: per-core L2 cache.
 CENSUS_CHUNK = 1 << 16
 
 
@@ -140,7 +140,7 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
 
     Memory: heights are stored in the narrowest signed dtype that holds
     -(2n + 1)..2n (int8 while 2n <= 127), so a block takes a few bytes per
-    candidate and the working set is O(CENSUS_CHUNK), about 1 MB at the
+    candidate and the working set is O(CENSUS_CHUNK), under 1 MB at the
     default chunk.  The heads add candidates / tails < 2^(r+1) * candidates
     / CENSUS_CHUNK entries, or 2^(r+1) when that is more.
     """

@@ -1,17 +1,18 @@
 """Independent counting oracles.
 
 Ground-truth counters that share nothing with the closed forms, recurrences,
-or series expansions: exhaustive generate-and-filter enumeration, a vectorized
-census that scans every candidate word arithmetically where materializing word
-objects is too slow, and one dynamic program over (tracked heights, previous
-step).  The DP serves the single-hyperplane counts, the counts restricted to a
-first step, and the walks that must end on (and optionally stay above) several
-hyperplanes at once; one pass to length 2N gives the counts at every n <= N.
+or series expansions: exhaustive generate-and-filter enumeration, a census
+that counts every candidate word as a keyed join of its two halves, and one
+dynamic program over (tracked heights, previous step).  The DP serves the
+single-hyperplane counts, the counts restricted to a first step, and the
+walks that must end on (and optionally stay above) several hyperplanes at
+once; one pass to length 2N gives the counts at every n <= N.
 """
 
 from __future__ import annotations
 
 import itertools
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -29,23 +30,30 @@ from .automata import recognize
 #: Default cap on the number of candidate words an exhaustive scan may touch.
 DEFAULT_BUDGET = 1 << 22
 
+#: Most words the census lays out in either half, whatever the budget: 2^20
+#: take about 0.08 s and 47 MB (0.4 s and 140 MB at n = 1, where the keys of
+#: 3 heights x 2^20 steps outnumber the words).
+CENSUS_HALF_CAP = 1 << 20
+
 
 def census_fits(r: int, n: int, budget: int) -> bool:
-    """Whether the (2^(r+1))^(2n) candidate words of length 2n fit the budget.
+    """Whether the (2^(r+1))^(2n) candidate words of length 2n fit the budget
+    and each of their halves of (2^(r+1))^n words fits CENSUS_HALF_CAP.
 
-    Their number is 2^e with e = (r+1) 2n, which exceeds the budget exactly
-    when e reaches the budget's bit length, so the decision builds no large
-    number.
+    Each number is 2^e, with e = (r+1) 2n or (r+1) n, and exceeds a cap
+    exactly when e reaches the cap's bit length, so the decision builds no
+    large number.
     """
-    return (r + 1) * 2 * n < max(budget, 0).bit_length()
+    half = (r + 1) * n
+    return 2 * half < max(budget, 0).bit_length() and half < CENSUS_HALF_CAP.bit_length()
 
 
 def _refuse_over_budget(what: str, r: int, n: int, budget: int) -> None:
-    """Raise BudgetExceeded unless `census_fits`; the message builds no
-    number of more than 20 digits."""
-    if census_fits(r, n, budget):
-        return
+    """Raise BudgetExceeded unless the candidate words fit the budget, as in
+    `census_fits`; the message builds no number of more than 20 digits."""
     exponent = (r + 1) * 2 * n
+    if exponent < max(budget, 0).bit_length():
+        return
     count = f"{1 << (r + 1)}^{2 * n}"
     if exponent < 67:  # 2^66 has 20 digits
         count += f" = {1 << exponent}"
@@ -69,12 +77,6 @@ def enumerate_words(spec: LanguageSpec, n: int, budget: int = DEFAULT_BUDGET) ->
     return result
 
 
-#: Most candidates the census compares at once, unless one head followed by
-#: every tail is more: 2^16 keeps its working set under 1 MB, inside a
-#: per-core L2 cache.
-CENSUS_CHUNK = 1 << 16
-
-
 def _height_dtype(length: int) -> np.dtype:
     """The narrowest signed integer dtype that holds every height in
     [-length, length]; it holds -(length + 1), so +length too."""
@@ -84,12 +86,12 @@ def _height_dtype(length: int) -> np.dtype:
 def _append_steps(
     prefixes: tuple[np.ndarray, ...], digits: np.ndarray, signs: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """Per-candidate arrays of every prefix followed by every step.
+    """Per-word arrays of every prefix followed by every step.
 
     `prefixes` holds, per prefix, its tracked height, the lowest height seen
     (0 included), whether it contains a backtrack and whether it contains a
     repeat, and its last step mask.  Of m prefixes, prefix i followed by step
-    d lands at index d * m + i, so each candidate keeps its own entries.
+    d lands at index d * m + i, so each word keeps its own entries.
     """
     height, lowest, backtracks, repeats, last = prefixes
     full = len(digits) - 1
@@ -115,34 +117,32 @@ def _prefixes(length: int, digits: np.ndarray, signs: np.ndarray) -> tuple[np.nd
 
 
 def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]:
-    """Count members of all six languages by scanning every candidate word.
+    """Count members of all six languages by joining the two halves of every
+    candidate word.
 
     Each candidate of length 2n over the 2^(r+1)-letter alphabet is a sequence
-    of step masks (bit i set means coordinate i+1 is -1): a head followed by a
-    tail of the most steps `tail` with 2^((r+1) tail) <= CENSUS_CHUNK (at
-    least 1; the head keeps at least 1).  The heads and the tails are each
-    laid out once by `_prefixes`; a tail is read backwards with its signs
-    negated, so its arrays give minus its sum and whether it ever goes below
-    its end.  A candidate ends at 0 iff its head's height equals that negated
-    sum, and then stays >= 0 iff its head does and its tail never goes below
-    its end.  So each family gives every tail one key, its negated sum or an
-    impossible height where the tail alone excludes the family, and counts
-    the heads' heights that equal the key, minus those whose last step
-    clashes with the tail's first (the tails with one first step are one
-    slice).
+    of step masks (bit i set means coordinate i+1 is -1): a head of n steps
+    followed by a tail of n steps.  The heads and the tails are each laid out
+    once by `_prefixes`; a tail is read backwards with its signs negated, so
+    its arrays give minus its sum and whether it ever goes below its end.  A
+    candidate ends at 0 iff its head's height equals that negated sum, and
+    then stays >= 0 iff its head does and its tail never goes below its end;
+    it has a backtrack or a repeat iff a half has one or the head's last step
+    clashes with the tail's first.
 
-    The heads fall into 8 classes by a backtrack, a repeat and a dip below 0
-    in the head.  A class skips the families it excludes (B and E after a
-    backtrack, C and F after a repeat, D-F after a dip) and compares the rest
-    in 2-D blocks of heads x tails of at most max(CENSUS_CHUNK, tails)
-    candidates.  Every candidate is compared, exactly like enumerate_words,
-    without building word objects.
+    So each family counts the heads it keeps by (height, last step) into H
+    and the tails it keeps by (negated sum, first step) into T.  Its count is
+    the sum over heights k of (heads of height k) x (tails of key k), minus,
+    for B, C, E and F, the pairs whose steps clash at the join: row k of H
+    against row k of T with its columns permuted by the clash.  The products
+    per height are Python integers; the clash term is an int64 dot product,
+    exact because no pair count passes the 2^40 candidates of two capped
+    halves.  Every candidate is counted, as by enumerate_words, from
+    2 (2^(r+1))^n half words instead of its square.
 
-    Memory: heights are stored in the narrowest signed dtype that holds
-    -(2n + 1)..2n (int8 while 2n <= 127), so a block takes a few bytes per
-    candidate and the working set is O(CENSUS_CHUNK), under 1 MB at the
-    default chunk.  The heads add candidates / tails < 2^(r+1) * candidates
-    / CENSUS_CHUNK entries, or 2^(r+1) when that is more.
+    Memory is O((2^(r+1))^n), a few tens of bytes per half word: heights are
+    stored in the narrowest signed dtype that holds -(n + 1)..n.  A half holds
+    at most CENSUS_HALF_CAP words, whatever the budget.
     """
     if r < 0:
         raise ValueError(f"r must be nonnegative, got {r}")
@@ -151,45 +151,41 @@ def naive_census(r: int, n: int, budget: int = DEFAULT_BUDGET) -> dict[str, int]
     if n == 0:
         return {lid: 1 for lid in "ABCDEF"}
     _refuse_over_budget("naive census", r, n, budget)
+    if not census_fits(r, n, budget):
+        raise BudgetExceeded(
+            f"naive census needs halves of 2^{(r + 1) * n} words, cap is {CENSUS_HALF_CAP}"
+        )
     size = 1 << (r + 1)
-    length = 2 * n
     digits = np.arange(size, dtype=np.min_scalar_type(size - 1))
-    signs = np.where(digits >> r & 1, -1, 1).astype(_height_dtype(length))
-    tail = 1
-    while tail < length - 1 and size ** (tail + 1) <= CENSUS_CHUNK:
-        tail += 1
-    height, lowest, backtracks, repeats, last = _prefixes(length - tail, digits, signs)
+    signs = np.where(digits >> r & 1, -1, 1).astype(_height_dtype(n))
+    height, lowest, backtracks, repeats, last = _prefixes(n, digits, signs)
     # Read backwards with negated signs, a tail's height is minus its sum, and
     # its lowest height is below 0 iff the tail goes below its end somewhere.
-    ends, back_lowest, tail_bt, tail_rep, _ = _prefixes(tail, digits, -signs)
-    falls = back_lowest < 0
-    never = -length - 1  # lower than any head
-    # family -> (the head classes it excludes, its tail keys, and the mask
-    # that the head's last step XORs with to give the clashing first step)
+    ends, back_lowest, tail_bt, tail_rep, first = _prefixes(n, digits, -signs)
+    # Heights run from -n to n: key each half by (height, step at the join).
+    head_key = (height.astype(np.intp) + n) * size + last
+    tail_key = (ends.astype(np.intp) + n) * size + first
+    keys = (2 * n + 1) * size
+    stays, no_fall = lowest >= 0, back_lowest >= 0
+    every = np.ones(len(head_key), dtype=bool)
+    # family -> (the heads it keeps, the tails it keeps, and the mask that
+    # the head's last step XORs with to give the clashing first step)
     families = {
-        "A": (0, ends, None),
-        "B": (1, np.where(tail_bt, never, ends), size - 1),
-        "C": (2, np.where(tail_rep, never, ends), 0),
-        "D": (4, np.where(falls, never, ends), None),
-        "E": (5, np.where(falls | tail_bt, never, ends), size - 1),
-        "F": (6, np.where(falls | tail_rep, never, ends), 0),
+        "A": (every, every, None),
+        "B": (~backtracks, ~tail_bt, size - 1),
+        "C": (~repeats, ~tail_rep, 0),
+        "D": (stays, no_fall, None),
+        "E": (stays & ~backtracks, no_fall & ~tail_bt, size - 1),
+        "F": (stays & ~repeats, no_fall & ~tail_rep, 0),
     }
-    classes = backtracks * 1 + repeats * 2 + (lowest < 0) * 4
-    group = max(1, CENSUS_CHUNK // len(ends))
-    counts = dict.fromkeys("ABCDEF", 0)
-    for cls in range(8):
-        live = [(lid, key, flip) for lid, (gone, key, flip) in families.items() if not cls & gone]
-        heads = np.flatnonzero(classes == cls)
-        for start in range(0, len(heads), group):
-            block = heads[start:start + group]
-            h = height[block, None]
-            for lid, key, flip in live:
-                found = int(np.count_nonzero(key == h))
-                if flip is not None:
-                    # the tails with one first step are one slice: it is the top digit
-                    clashing = key.reshape(size, -1)[last[block] ^ flip]
-                    found -= int(np.count_nonzero(clashing == h))
-                counts[lid] += found
+    counts = {}
+    for lid, (kept_heads, kept_tails, flip) in families.items():
+        heads = np.bincount(head_key[kept_heads], minlength=keys).reshape(-1, size)
+        tails = np.bincount(tail_key[kept_tails], minlength=keys).reshape(-1, size)
+        found = sum(map(mul, heads.sum(axis=1).tolist(), tails.sum(axis=1).tolist()))
+        if flip is not None:
+            found -= int(np.vdot(heads, tails[:, digits ^ flip]))
+        counts[lid] = found
     return counts
 
 

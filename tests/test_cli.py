@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -86,6 +87,23 @@ def test_count_naive_refusal_is_short(capsys):
     assert code == 2
     assert "budget" in err
     assert len(err) < 200
+
+
+def test_count_naive_huge_budget_refuses_at_once(capsys):
+    # 4^22 candidates fit a budget of 2^60; halves of 4^11 words are over the cap.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", "B", "--r", "1", "--n", "11", "--method", "naive",
+                         "--budget", str(1 << 60))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "halves" in err and len(err) < 200
+
+
+def test_methods_suite_skips_census_halves_over_the_cap():
+    naive = ROUTES["naive"]
+    spec = hyperwalks.LanguageSpec("B", 1)
+    assert naive.checked(spec, 10, 1 << 60)
+    assert not naive.checked(spec, 11, 1 << 60)
 
 
 requires_digit_limit = pytest.mark.skipif(

@@ -81,6 +81,17 @@ def test_closed_form_calls_no_other_formula_route():
     assert {"_unroll", "recurrence_spec"} <= names_used("formulas", "recurrence_seq")
 
 
+def test_census_calls_no_other_counting_route():
+    # naive_census shares its module with the DP it is checked against, so
+    # the import rule above cannot see whether it calls the DP.
+    oracle = importlib.import_module("hyperwalks.oracle")
+    routes = {name for name in vars(oracle) if name.startswith("count_dp")}
+    routes |= {"_walk_layers", "enumerate_words", "recognize"}
+    assert names_used("oracle", "naive_census") & routes == set()
+    assert "_prefixes" in names_used("oracle", "naive_census")
+    assert "_walk_layers" in names_used("oracle", "count_dp_seq")
+
+
 def test_path_count_does_not_walk_the_enumerated_tree():
     # verify_bijection compares the path enumerator with count_E_double_prime;
     # a count that ran the enumerator's walker or children rule would make

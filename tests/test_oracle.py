@@ -130,9 +130,10 @@ def test_dp_wide_alphabet_matches_closed_form():
         assert count_dp(LanguageSpec(lid, 12), 2) == closed_form(LanguageSpec(lid, 12), 2)
 
 
-@pytest.mark.parametrize("r,n,budget", [(2, 4, 8**8), (1, 6, 4**12)])
+@pytest.mark.parametrize("r,n,budget", [
+    (2, 4, 8**8), (1, 6, 4**12), (1, 8, 4**16), (2, 6, 8**12), (0, 16, 2**32), (3, 4, 16**8),
+])
 def test_naive_census_across_chunks_matches_dp(r, n, budget):
-    assert budget > oracle.CENSUS_CHUNK
     census = naive_census(r, n, budget)
     for lid in "ABCDEF":
         assert census[lid] == count_dp(LanguageSpec(lid, r), n)
@@ -149,19 +150,15 @@ def census_peak(r: int, n: int, budget: int = oracle.DEFAULT_BUDGET) -> tuple[di
     return census, peak
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_naive_census_independent_of_chunk_size(monkeypatch, chunk):
-    # Chunks of one candidate, of fewer candidates than the alphabet, and of
-    # several leading prefixes at once must all see every candidate once.
-    monkeypatch.setattr(oracle, "CENSUS_CHUNK", chunk)
+def test_naive_census_at_small_shapes():
+    # Halves of one step, and alphabets of 2, 4 and 8 letters.
     for r, n in [(0, 1), (0, 3), (1, 1), (1, 2), (2, 1)]:
         census = naive_census(r, n)
         for lid in "ABCDEF":
             assert census[lid] == count_dp(LanguageSpec(lid, r), n)
-    # Whatever the chunk, the 16^4 candidates are never all held at once; a
-    # chunk smaller than the 16-letter alphabet once held them all (0.5-0.6 MB).
-    # The blocks take about 0.03 MB.  The bound leaves room for CPython's free
-    # list, which keeps up to 2000 freed 5-tuples (0.16 MB) for reuse.
+    # The 16^4 candidates are never all held at once: the halves of 256 words
+    # take a few kB.  The bound leaves room for CPython's free list, which
+    # keeps up to 2000 freed 5-tuples (0.16 MB) for reuse.
     census, peak = census_peak(3, 2)
     for lid in "ABCDEF":
         assert census[lid] == count_dp(LanguageSpec(lid, 3), 2)
@@ -169,14 +166,24 @@ def test_naive_census_independent_of_chunk_size(monkeypatch, chunk):
 
 
 def test_naive_census_memory_is_bounded():
-    # About 1 MB at the default chunk, whatever the number of candidates.
-    # (5, 2) has 4096 heads of 4096 tails each, (0, 11) 64 heads of 2^16.
-    for r, n in [(2, 4), (1, 6), (5, 2), (0, 11)]:
+    # A few tens of bytes per half word, whatever the number of candidates:
+    # (1, 8) lays out halves of 4^8 words.
+    for r, n in [(2, 4), (1, 6), (5, 2), (0, 11), (1, 8)]:
         candidates = (1 << (r + 1)) ** (2 * n)
         census, peak = census_peak(r, n, candidates)
         assert peak < 4 * 10**6, f"census of {candidates} candidates peaked at {peak / 1e6:.1f} MB"
         for lid in "ABCDEF":
             assert census[lid] == count_dp(LanguageSpec(lid, r), n)
+
+
+@pytest.mark.parametrize("r", range(6))
+def test_naive_census_sweep_matches_dp_seq(r):
+    # Every n whose halves have at most 2^12 words.
+    n_top = 12 // (r + 1)
+    seqs = {lid: count_dp_seq(LanguageSpec(lid, r), n_top) for lid in "ABCDEF"}
+    for n in range(n_top + 1):
+        census = naive_census(r, n, (1 << (r + 1)) ** (2 * n))
+        assert census == {lid: seqs[lid][n] for lid in "ABCDEF"}, (r, n)
 
 
 @pytest.mark.parametrize("length,dtype", [
@@ -211,6 +218,23 @@ def test_census_fits_is_the_candidate_count_within_budget(budget):
 def test_naive_census_budget_refusal():
     with pytest.raises(BudgetExceeded):
         naive_census(2, 10, budget=1000)
+
+
+@pytest.mark.parametrize("r,n", [(0, 20), (1, 10), (3, 5), (19, 1)])
+def test_census_fits_caps_each_half_whatever_the_budget(r, n):
+    # Halves of 2^20 words fit; one more step, or one more bit per step, does not.
+    huge = 1 << 1000
+    assert oracle.census_fits(r, n, huge)
+    assert not oracle.census_fits(r, n + 1, huge)
+    assert not oracle.census_fits(r + 1, n, huge)
+
+
+def test_naive_census_refuses_halves_over_the_cap():
+    # 4^22 candidates fit a budget of 2^60, but each half of 4^11 = 2^22 words
+    # is over the cap; the refusal names the half, never builds it.
+    with pytest.raises(BudgetExceeded, match=r"halves of 2\^22 words") as err:
+        naive_census(1, 11, budget=1 << 60)
+    assert len(str(err.value)) < 200
 
 
 @pytest.mark.parametrize("scan", [

@@ -1,11 +1,11 @@
 """Word-level recognizers.
 
 Two deterministic pushdown machines decide the unconstrained families: one
-accepts exactly the walks whose tracked coordinate sums to zero, the other
-additionally rejects any walk whose tracked prefix sum dips below zero.  The
-pattern families are their intersections with a one-step-memory regular check,
-so membership for all six languages reduces to machine simulation plus an
-adjacent-pair scan.
+accepts exactly the walks whose tracked coordinate sums to zero; the other,
+the first without its below-zero stack symbol D, also rejects any walk whose
+tracked prefix sum dips below zero.  The pattern families are their
+intersections with a one-step-memory check of `PatternKind.flip`'s pairs, so
+membership reduces to machine simulation plus an adjacent-pair scan.
 """
 
 from __future__ import annotations
@@ -41,11 +41,8 @@ _HYPERPLANE_RULES = {
     (WORK, -1, D): (WORK, D),
 }
 
-_HALFSPACE_RULES = {
-    (ACCEPT, 1, Z0): (WORK, U),
-    (WORK, 1, U): (WORK, U),
-    (WORK, -1, U): (WORK, POP),
-}
+# The hyperplane machine without D: a walk that goes below zero finds no rule.
+_HALFSPACE_RULES = {k: v for k, v in _HYPERPLANE_RULES.items() if D not in (k[2], v[1])}
 
 
 def _simulate(rules: dict, r: int, w: Word) -> bool:
@@ -115,10 +112,10 @@ def avoids_pattern(kind: PatternKind, w: Word) -> bool:
     """True iff no adjacent pair matches the forbidden pattern.
 
     A one-step memory: the regular check that the pattern families intersect
-    with the pushdown machines.  A step clashes with previous ^ flip, its
-    negation for backtracking and itself for repeats.
+    with the pushdown machines.  A step clashes with previous ^ kind.flip(r),
+    its negation for backtracking and itself for repeats.
     """
-    flip = (1 << (w.r + 1)) - 1 if kind is PatternKind.BACKTRACK else 0
+    flip = kind.flip(w.r)
     previous = -1  # -1 ^ flip is negative, so the first step clashes with nothing
     for step in w:
         if step == previous ^ flip:

@@ -15,14 +15,15 @@ from __future__ import annotations
 from functools import cache
 from typing import Any, Callable, Iterable, Iterator
 
-from .core import ConsistencyError, LanguageSpec, Word, step_alphabet
+from .core import ConsistencyError, LanguageSpec, PatternKind, Word, step_alphabet
 from .automata import recognize
 
 E_LANGUAGE = LanguageSpec("E", 1)
 
 _ALPHABET = step_alphabet(1)
 FIRST_STEP = _ALPHABET[0]  # the mask of ++
-_TRACKED = 2  # the tracked bit of a plane step mask; step ^ 3 negates a step
+_TRACKED = 2  # the tracked bit of a plane step mask
+_NEGATE = PatternKind.BACKTRACK.flip(1)  # step ^ _NEGATE is the step's negation
 
 # For each (previous run step, downward run): the steps of that direction that
 # are neither the previous step (run maximality) nor its negation (backtrack
@@ -30,7 +31,7 @@ _TRACKED = 2  # the tracked bit of a plane step mask; step ^ 3 negates a step
 _FORCED = {
     (prev, down): tuple(
         step for step in _ALPHABET
-        if bool(step & _TRACKED) == down and step not in (prev, prev ^ 3)
+        if bool(step & _TRACKED) == down and step not in (prev, prev ^ _NEGATE)
     )
     for prev in _ALPHABET
     for down in (False, True)
@@ -155,7 +156,7 @@ def enumerate_domain_walks(n: int) -> Iterator[Word]:
         # step & _TRACKED is 0 for an up step and 2 for a down step; the left - 1
         # steps after this one must be able to bring the height back to 0
         return tuple((step, (step, h, left - 1) if left > 1 else None) for step in _ALPHABET
-                     if step != prev ^ 3 and 0 <= (h := height + 1 - (step & _TRACKED)) < left)
+                     if step != prev ^ _NEGATE and 0 <= (h := height + 1 - (step & _TRACKED)) < left)
 
     for steps in _depth_first(children, (FIRST_STEP, 1, 2 * n - 1)):
         yield Word(1, (FIRST_STEP, *steps))

@@ -277,7 +277,6 @@ SUITES: dict[str, Callable[[Sequence[int], int, int], Iterable[Row]]] = {
     "bijection": _bijection_suite,
     "asymptotics": _asymptotics_suite,
 }
-SUITE_NAMES = tuple(SUITES)
 
 
 def run_check(
@@ -290,10 +289,10 @@ def run_check(
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if not suites:
-        raise ValueError(f"no suites given; choose from {SUITE_NAMES}")
+        raise ValueError(f"no suites given; choose from {tuple(SUITES)}")
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
-        raise ValueError(f"unknown suites {unknown}; choose from {SUITE_NAMES}")
+        raise ValueError(f"unknown suites {unknown}; choose from {tuple(SUITES)}")
     cells = [
         CheckCell(name, language, r, n, detail, bool(agree),
                   () if agree else tuple(str(v) for v in values))

@@ -12,8 +12,6 @@ from .core import BudgetExceeded, LanguageSpec, LANGUAGE_IDS
 from .bfile import SequenceNotFound, bfile_emit, oeis_fetch
 from .checks import DEFAULT_BUDGET, ROUTES, SUITES, run_check
 
-METHODS = tuple(ROUTES)
-
 
 class UsageError(ValueError):
     """A flag combination outside the defined contracts."""
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("language", choices=LANGUAGE_IDS)
     p_count.add_argument("--r", type=int, required=True)
     p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--method", choices=METHODS, default="closed")
+    p_count.add_argument("--method", choices=ROUTES, default="closed")
     p_count.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="candidate cap for the naive census")
 

@@ -6,7 +6,9 @@ coordinate i+1 is -1.  The last coordinate (bit r) is the tracked coordinate:
 its prefix sums decide the hyperplane and half-space constraints.  A word is
 a sequence of step masks with its r, and is the object every recognizer and
 counter consumes.  The +/- text is the only other form: parse_step and
-parse_word read it, Word.text writes it.
+parse_word read it, Word.text writes it.  `_FAMILIES` states each family's
+two rules, and `PatternKind.flip` the mask that XORs a step into the step
+its pattern forbids next; every route but the census reads them here.
 """
 
 from __future__ import annotations
@@ -16,12 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Iterator, Optional
-
-LANGUAGE_IDS = ("A", "B", "C", "D", "E", "F")
-
-#: Languages whose walks must keep the tracked coordinate nonnegative.
-HALFSPACE_IDS = frozenset({"D", "E", "F"})
-
 
 class StepFormatError(ValueError):
     """Step or word text that does not follow the +/- encoding."""
@@ -49,6 +45,20 @@ class PatternKind(Enum):
     BACKTRACK = "backtrack"  # forbids a step v immediately followed by -v
     REPEAT = "repeat"        # forbids a step v immediately followed by v
 
+    def flip(self, r: int) -> int:
+        """The mask that XORs a step into the step this pattern forbids next:
+        all r+1 bits (its negation) for backtracking, none for repeats."""
+        return (1 << (r + 1)) - 1 if self is PatternKind.BACKTRACK else 0
+
+
+#: Each family's id -> (kept in the half-space, pattern avoided).
+_FAMILIES: dict[str, tuple[bool, Optional[PatternKind]]] = {
+    "A": (False, None), "B": (False, PatternKind.BACKTRACK), "C": (False, PatternKind.REPEAT),
+    "D": (True, None), "E": (True, PatternKind.BACKTRACK), "F": (True, PatternKind.REPEAT),
+}
+
+LANGUAGE_IDS = tuple(_FAMILIES)
+
 
 def parse_step(text: str, r: int) -> int:
     """Parse a step from its +/- encoding into its mask: bit i set iff char i is '-'."""
@@ -75,9 +85,8 @@ class Word:
     """A sequence of step masks in {+1, -1}^(r+1); the empty word is valid.
 
     Bit i of a mask is set iff coordinate i+1 of the step is -1, so bit r is
-    the tracked coordinate and mask ^ (2^(r+1) - 1) is the negated step.
-    Masks given as any sequence are stored as a tuple, so words compare and
-    hash by value.
+    the tracked coordinate.  Masks given as any sequence are stored as a
+    tuple, so words compare and hash by value.
     """
 
     r: int
@@ -139,15 +148,11 @@ class LanguageSpec:
 
     @property
     def halfspace(self) -> bool:
-        return self.id in HALFSPACE_IDS
+        return _FAMILIES[self.id][0]
 
     @property
     def pattern(self) -> Optional[PatternKind]:
-        if self.id in ("B", "E"):
-            return PatternKind.BACKTRACK
-        if self.id in ("C", "F"):
-            return PatternKind.REPEAT
-        return None
+        return _FAMILIES[self.id][1]
 
     def __str__(self) -> str:
         return f"{self.id}(r={self.r})"

@@ -203,9 +203,9 @@ def _walk_layers(
     heights of the j+1 tracked coordinates to the walks' counts per last step
     mask.  Step mask s moves the heights by the signs of its top j+1 bits.
     The inflow into s is the row total minus the entry of s's forbidden
-    partner: mask ^ full for backtracking, mask for repeats.  With no pattern
-    the partner is a trailing slot of the row that stays 0.  `first`, if
-    given, is the only allowed first step mask.  Exact integers throughout.
+    partner, s ^ pattern.flip(r).  With no pattern the partner is a trailing
+    slot of the row that stays 0.  `first`, if given, is the only allowed
+    first step mask.  Exact integers throughout.
 
     One pass aimed at length 2n prunes only walks too far from 0 to return by
     step 2n, never one that returns at a step 2m <= 2n, so the count at
@@ -218,12 +218,10 @@ def _walk_layers(
         return tuple(counts_at_zero)
     size = 1 << (r + 1)
     shift = r - j
-    if pattern is PatternKind.BACKTRACK:
-        partner = [mask ^ (size - 1) for mask in range(size)]
-    elif pattern is PatternKind.REPEAT:
-        partner = list(range(size))
-    else:
-        partner = [size] * size
+    partner = [size] * size  # first, so an alphabet too large to list overflows at once
+    if pattern is not None:
+        flip = pattern.flip(r)
+        partner = [mask ^ flip for mask in range(size)]
     # The masks whose top j+1 bits read c form one contiguous block, and they
     # all move the tracked heights by the same signs.
     moves = [

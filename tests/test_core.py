@@ -6,6 +6,7 @@ import hyperwalks.core as core
 from hyperwalks import (
     DimensionMismatch,
     LanguageSpec,
+    PatternKind,
     StepFormatError,
     Word,
     parse_step,
@@ -105,14 +106,27 @@ def test_mask_round_trip():
 
 
 def test_language_spec_validation():
-    assert LanguageSpec("B", 0).pattern is not None
-    assert LanguageSpec("D", 1).halfspace
-    assert not LanguageSpec("A", 1).halfspace
-    assert LanguageSpec("A", 1).pattern is None
+    backtrack, repeat = PatternKind.BACKTRACK, PatternKind.REPEAT
+    rules = {lid: (LanguageSpec(lid, 0).halfspace, LanguageSpec(lid, 0).pattern)
+             for lid in core.LANGUAGE_IDS}
+    assert rules == {
+        "A": (False, None), "B": (False, backtrack), "C": (False, repeat),
+        "D": (True, None), "E": (True, backtrack), "F": (True, repeat),
+    }
     with pytest.raises(ValueError):
         LanguageSpec("G", 1)
     with pytest.raises(ValueError):
         LanguageSpec("A", -1)
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_pattern_flip_gives_the_forbidden_next_step(r):
+    # a backtrack reverses every sign of the step; a repeat is the step itself
+    reverse = str.maketrans("+-", "-+")
+    for step in step_alphabet(r):
+        negated = parse_step(Word(r, (step,)).text().translate(reverse), r)
+        assert step ^ PatternKind.BACKTRACK.flip(r) == negated
+        assert step ^ PatternKind.REPEAT.flip(r) == step
 
 
 def test_alphabet_is_text_sorted():

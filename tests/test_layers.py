@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import hyperwalks
-from hyperwalks import LanguageSpec, Word, parse_word, recognize
+from hyperwalks import (
+    LanguageSpec, PatternKind, Word, count_dp_seq, naive_census, parse_word, recognize,
+)
 
 PACKAGE = Path(hyperwalks.__file__).parent
 
@@ -189,3 +191,13 @@ def test_recognize_reads_its_steps_through_word_iteration(monkeypatch):
     # ++,-- ends on the hyperplane, and its second step backtracks
     assert not recognize(LanguageSpec("B", 1), parse_word("++,--", 1))
     assert len(read) == 4  # 2 for the machine, 2 for the pattern scan
+
+
+def test_patterns_read_their_partner_from_pattern_flip_only(monkeypatch):
+    # With flip returning 0, backtracking forbids what repeats forbid, in the
+    # DP and in the recognizer alike; the census keeps its own reading.
+    census = naive_census(1, 3)["B"]
+    monkeypatch.setattr(PatternKind, "flip", lambda self, r: 0)
+    assert count_dp_seq(LanguageSpec("B", 1), 6) == count_dp_seq(LanguageSpec("C", 1), 6)
+    assert recognize(LanguageSpec("B", 1), parse_word("++,--", 1))
+    assert naive_census(1, 3)["B"] == census
